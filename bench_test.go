@@ -151,14 +151,14 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.Run(mod, false); err != nil {
+			if _, err := pipeline.Run(context.Background(), mod, false, core.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pipeline.Trace(mod); err != nil {
+			if _, _, err := pipeline.Trace(context.Background(), mod, core.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -172,7 +172,7 @@ func BenchmarkDDGBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func BenchmarkDDGAnalysisPerNode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func BenchmarkTimestamps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func BenchmarkKumarBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,10 +345,7 @@ func BenchmarkReductionAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	_ = mod
-	region, err := pipeline.LoopRegion(tr, sphinx.Kernel.LineOf("@dist"), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	region := tr.Slice(tr.Regions(tr.Module.LoopByLine(sphinx.Kernel.LineOf("@dist")).ID)[0])
 	g, err := ddg.Build(region)
 	if err != nil {
 		b.Fatal(err)
@@ -373,7 +370,7 @@ func BenchmarkDependenceCategoryAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +405,7 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, tr, err := pipeline.Trace(mod)
+		_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -432,7 +429,7 @@ func BenchmarkLarusBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,7 +489,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -520,7 +517,7 @@ func BenchmarkInterp(b *testing.B) {
 	var res *interp.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = pipeline.Run(mod, false)
+		res, err = pipeline.Run(context.Background(), mod, false, core.Budget{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -571,7 +568,7 @@ func BenchmarkAnnotate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -590,7 +587,7 @@ func BenchmarkControlRegularity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		b.Fatal(err)
 	}

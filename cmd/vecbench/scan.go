@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/diag"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
@@ -47,19 +46,27 @@ func runScan(ctx context.Context, regions int, opts core.Options, tf diag.TraceF
 		return err
 	}
 	var v1, v2 bytes.Buffer
-	if _, err := pipeline.Record(mod, &v1); err != nil {
+	if _, err := pipeline.Record(ctx, mod, &v1, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		return err
 	}
-	if _, err := pipeline.RecordContainer(mod, &v2, tf.ContainerOptions()); err != nil {
+	if _, err := pipeline.Record(ctx, mod, &v2, core.Budget{}, trace.FormatVTR2, tf.ContainerOptions()); err != nil {
 		return err
 	}
 	c, err := trace.OpenContainer(bytes.NewReader(v2.Bytes()), int64(v2.Len()), nil)
 	if err != nil {
 		return err
 	}
-	dopts := ddg.Options{}
+	// analyze runs every path through the one entry point; the source and
+	// the scan fan-out select the driver.
+	analyze := func(src pipeline.Source, scanWorkers int) ([]pipeline.RegionReport, error) {
+		src.Module = mod
+		return pipeline.Analyze(ctx, src, pipeline.Spec{Line: scanLoopLine, Instance: -1, Core: opts, ScanWorkers: scanWorkers})
+	}
+	vtr1 := func() pipeline.Source {
+		return pipeline.Source{Events: trace.NewDecoder(bytes.NewReader(v1.Bytes()))}
+	}
 
-	baseline, err := pipeline.AnalyzeLoopRegionsStream(mod, trace.NewDecoder(bytes.NewReader(v1.Bytes())), scanLoopLine, dopts, opts)
+	baseline, err := analyze(vtr1(), 0)
 	if err != nil {
 		return err
 	}
@@ -107,12 +114,12 @@ func runScan(ctx context.Context, regions int, opts core.Options, tf diag.TraceF
 	}
 
 	if err := row("vtr1 sequential", 1, func() ([]pipeline.RegionReport, error) {
-		return pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, trace.NewDecoder(bytes.NewReader(v1.Bytes())), scanLoopLine, dopts, opts)
+		return analyze(vtr1(), 0)
 	}); err != nil {
 		return err
 	}
 	if err := row("vtr2 sequential", 1, func() ([]pipeline.RegionReport, error) {
-		return pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, trace.NewBlockSource(bytes.NewReader(v2.Bytes()), nil), scanLoopLine, dopts, opts)
+		return analyze(pipeline.Source{Events: trace.NewBlockSource(bytes.NewReader(v2.Bytes()), nil)}, 0)
 	}); err != nil {
 		return err
 	}
@@ -131,7 +138,7 @@ func runScan(ctx context.Context, regions int, opts core.Options, tf diag.TraceF
 		}
 		w := width
 		if err := row("vtr2 indexed", w, func() ([]pipeline.RegionReport, error) {
-			return pipeline.AnalyzeLoopRegionsIndexed(ctx, c, mod, scanLoopLine, dopts, opts, w)
+			return analyze(pipeline.Source{Trace: &trace.Opened{Format: trace.FormatVTR2, Container: c}}, w)
 		}); err != nil {
 			return err
 		}

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/report"
+	"github.com/example/vectrace/internal/trace"
 )
 
 // TestAnalyzeJSONParity pins the byte-identity contract between the CLI
@@ -28,8 +32,12 @@ func TestAnalyzeJSONParity(t *testing.T) {
 		{"single instance", 0, []string{"-instance", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			regs, err := pipeline.AnalyzeSourceCtx(context.Background(), path, sampleProgram,
-				11, tc.instance, ddg.Options{}, core.Options{}, core.Budget{})
+			mod, err := pipeline.Compile(path, sampleProgram)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod},
+				pipeline.Spec{Line: 11, Instance: tc.instance})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,5 +77,52 @@ func TestAnalyzeJSONFlagValidation(t *testing.T) {
 	}
 	if _, err := capture(t, "analyze", path, "-line", "11", "-json", "-baselines"); err == nil {
 		t.Error("-json with -baselines was accepted")
+	}
+}
+
+// TestAnalyzeInstanceFailureExitStatus: when the one requested region fails
+// its analysis, `analyze -instance k` exits nonzero in text and -json mode
+// alike. The failure is a recorded trace with an instruction of f spliced
+// into main's frame inside the loop's first region: it decodes and splits
+// into regions cleanly, but the analysis rejects the region.
+func TestAnalyzeInstanceFailureExitStatus(t *testing.T) {
+	const src = `double a[64];
+double f(double x) { return x * 2.0; }
+void main() {
+  int i;
+  for (i = 0; i < 64; i++) { a[i] = 0.5 * i; }
+  print(f(a[3]));
+}
+`
+	dir := t.TempDir()
+	path := filepath.Join(dir, "splice.c")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mod, err := pipeline.Compile(path, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tr.Regions(mod.LoopByLine(5).ID)[0]
+	foreign := trace.Event{ID: mod.FuncByName("f").Blocks[0].Instrs[0].ID}
+	events := append(append(append([]trace.Event{}, tr.Events[:r.Start+1]...), foreign), tr.Events[r.Start+1:]...)
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, "splice.vtr")
+	if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-json"}} {
+		args := append([]string{"analyze", path, "-trace", tracePath, "-line", "5", "-instance", "0"}, mode...)
+		out, err := capture(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "pipeline: region 0:") {
+			t.Fatalf("%v: error %v, want the region's failure\n%s", mode, err, out)
+		}
 	}
 }

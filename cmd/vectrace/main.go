@@ -34,7 +34,7 @@
 // flag is -exectrace here because -trace names the input trace file.
 //
 // Failure surface: analyze accepts -timeout, a wall-clock budget enforced
-// by cooperative cancellation through the interpreter, trace scanner, and
+// by cooperative cancellation through the interpreter, region feed, and
 // analysis pool; on expiry the error wraps context.DeadlineExceeded. The
 // process exits 1 on analysis errors (corrupt traces name the byte offset
 // and region index) and 2 on usage errors.
@@ -138,7 +138,7 @@ func run(args []string) error {
 		if *optimize {
 			opt.Optimize(mod)
 		}
-		res, err := pipeline.Run(mod, false)
+		res, err := pipeline.Run(context.Background(), mod, false, core.Budget{})
 		if err != nil {
 			return err
 		}
@@ -159,7 +159,7 @@ func run(args []string) error {
 		if err := parseFlags(fs, rest); err != nil {
 			return err
 		}
-		res, err := pipeline.Run(mod, true)
+		res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 		if err != nil {
 			return err
 		}
@@ -196,7 +196,7 @@ func run(args []string) error {
 		if err := parseFlags(fs, rest); err != nil {
 			return err
 		}
-		_, tr, err := pipeline.Trace(mod)
+		_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 		if err != nil {
 			return err
 		}
@@ -208,7 +208,7 @@ func run(args []string) error {
 		return nil
 
 	case "tree":
-		res, err := pipeline.Run(mod, true)
+		res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 		if err != nil {
 			return err
 		}
@@ -222,7 +222,7 @@ func run(args []string) error {
 		if err := parseFlags(fs, rest); err != nil {
 			return err
 		}
-		res, tr, err := pipeline.Trace(mod)
+		res, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 		if err != nil {
 			return err
 		}
@@ -253,12 +253,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		var res *interp.Result
-		if tf.Format == trace.FormatVTR2 {
-			res, err = pipeline.RecordContainer(mod, f, tf.ContainerOptions())
-		} else {
-			res, err = pipeline.Record(mod, f)
-		}
+		res, err := pipeline.Record(context.Background(), mod, f, core.Budget{}, tf.Format, tf.ContainerOptions())
 		if err != nil {
 			f.Close()
 			return err
@@ -291,8 +286,6 @@ func analyzeCmd(file, src string, rest []string) error {
 	workers := fs.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
 	tile := fs.Int("tile", 0, "candidates per fused Algorithm-1 pass (0 = auto, <0 = per-candidate kernel)")
 	jsonOut := fs.Bool("json", false, "emit the canonical analysis JSON instead of text (requires -line; excludes -baselines)")
-	dispatch := fs.String("dispatch", "plan", "interpreter dispatch engine: plan (precompiled) or oracle (legacy switch loop)")
-	shadow := fs.String("shadow", "paged", "stream-kernel shadow memory: paged (two-level pages) or map (legacy oracle)")
 	var tf diag.TraceFormat
 	tf.Register(fs, "trace-format", "auto", true)
 	var prof diag.Flags
@@ -306,20 +299,6 @@ func analyzeCmd(file, src string, rest []string) error {
 	}
 	opts := ddg.Options{CharacterizeInts: *intOps}
 	copts := core.Options{RelaxReductions: *relax, Workers: *workers, TileSize: *tile}
-	switch *dispatch {
-	case "plan":
-	case "oracle":
-		copts.OracleDispatch = true
-	default:
-		return usageError{fmt.Errorf("-dispatch must be plan or oracle, got %q", *dispatch)}
-	}
-	switch *shadow {
-	case "paged":
-	case "map":
-		copts.MapShadow = true
-	default:
-		return usageError{fmt.Errorf("-shadow must be paged or map, got %q", *shadow)}
-	}
 	if err := tf.Validate(true); err != nil {
 		return usageError{err}
 	}
@@ -349,11 +328,10 @@ func analyzeCmd(file, src string, rest []string) error {
 		if err != nil {
 			return err
 		}
-		// printRegions and printGraph share the output layout between the
-		// streaming and in-memory paths, keeping them byte-identical. A
-		// region that failed prints a one-line diagnostic in place of its
-		// report — the remaining regions still print in full, and the joined
-		// error (returned by the caller) makes the exit status nonzero.
+		// printRegions prints every region's report. A region that failed
+		// prints a one-line diagnostic in place of its report — the
+		// remaining regions still print in full, and the joined error
+		// (returned by the caller) makes the exit status nonzero.
 		// Region failures are additionally condensed into one stderr line
 		// (count, first error, corrupt byte offset when the trace itself was
 		// damaged), so a long report still ends with a usable diagnostic.
@@ -402,39 +380,10 @@ func analyzeCmd(file, src string, rest []string) error {
 			}
 			fmt.Fprintln(os.Stderr, summary)
 		}
-		// printRegionJSON is the single-instance JSON path: it analyzes the
-		// region through pipeline.AnalyzeRegion — the exact call the
-		// vectraced job engine makes — so the output bytes match the
-		// service's for the same submission.
-		printRegionJSON := func(sub *trace.Trace, idx int) error {
-			rep, aerr := pipeline.AnalyzeRegion(ctx, sub, opts, copts)
-			rr := pipeline.RegionReport{Index: idx, Events: sub.Len(), Report: rep}
-			if aerr != nil {
-				rr.Err = fmt.Errorf("pipeline: region %d: %w", idx, aerr)
-			}
-			js, jerr := report.RegionsJSON([]pipeline.RegionReport{rr})
-			if jerr != nil {
-				return jerr
-			}
-			_, sp := obs.StartSpan(ctx, "report")
-			defer sp.End()
-			os.Stdout.Write(js)
-			return rr.Err
-		}
-		printGraph := func(g *ddg.Graph) error {
-			rep, err := core.AnalyzeCtx(ctx, g, copts)
-			if err != nil {
-				return err
-			}
-			_, sp := obs.StartSpan(ctx, "report")
-			defer sp.End()
-			fmt.Print(rep.String())
-			if *compare {
-				p := baseline.Kumar(g)
-				fmt.Printf("kumar: critical path %d, avg parallelism %.1f\n",
-					p.CriticalPath, p.AvgParallelism)
-			}
-			return nil
+		printKumar := func(g *ddg.Graph) {
+			p := baseline.Kumar(g)
+			fmt.Printf("kumar: critical path %d, avg parallelism %.1f\n",
+				p.CriticalPath, p.AvgParallelism)
 		}
 		// openTrace opens and format-sniffs the input trace, with its bytes
 		// counted into the recorder (and its size recorded, for percent-done
@@ -468,81 +417,92 @@ func analyzeCmd(file, src string, rest []string) error {
 			return f, o, nil
 		}
 
-		if *traceFile != "" && *line != 0 {
-			// Offline mode, the paper's workflow: the instrumented run wrote
-			// the trace to disk; analysis replays it against the same module.
-			// Sequential streams keep memory bounded by the largest region;
-			// indexed containers additionally seek and fan out (-scan-workers).
+		// loadTrace materializes the whole trace, live or from the file:
+		// only the graph views (-line 0 and -baselines) need it.
+		loadTrace := func() (*trace.Trace, error) {
+			if *traceFile == "" {
+				_, tr, err := pipeline.Trace(ctx, mod, core.Budget{})
+				return tr, err
+			}
+			f, o, err := openTrace()
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			events, err := trace.ReadAll(o.Source())
+			if err != nil {
+				return nil, err
+			}
+			return &trace.Trace{Module: mod, Events: events}, nil
+		}
+
+		if *line == 0 {
+			// Whole-program analysis needs every event resident.
+			tr, err := loadTrace()
+			if err != nil {
+				return err
+			}
+			g, err := ddg.BuildOpts(tr, opts)
+			if err != nil {
+				return err
+			}
+			rep, err := core.AnalyzeCtx(ctx, g, copts)
+			if err != nil {
+				return err
+			}
+			_, sp := obs.StartSpan(ctx, "report")
+			defer sp.End()
+			fmt.Print(rep.String())
+			if *compare {
+				printKumar(g)
+			}
+			return nil
+		}
+
+		// Region analysis, the paper's workflow, through the same call the
+		// vectraced job engine makes. Live runs and sequential trace files
+		// stream, so memory stays bounded by the open regions; indexed VTR2
+		// containers additionally seek and fan out (-scan-workers).
+		source := pipeline.Source{Module: mod}
+		var tr *trace.Trace
+		if *compare && *instance >= 0 {
+			// The Kumar baseline needs the region's graph: capture the
+			// trace once and serve both the analysis and the graph from it.
+			var err error
+			if tr, err = loadTrace(); err != nil {
+				return err
+			}
+			source.Events = &trace.SliceSource{Events: tr.Events}
+		} else if *traceFile != "" {
 			f, o, err := openTrace()
 			if err != nil {
 				return err
 			}
 			defer f.Close()
-			if *instance < 0 {
-				regs, err := pipeline.AnalyzeLoopRegionsOpened(ctx, o, mod, *line, opts, copts, tf.ScanWorkers)
-				printRegions(regs, err)
-				return err
-			}
-			region, err := pipeline.LoopRegionOpened(o, mod, *line, *instance)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return printRegionJSON(region, *instance)
-			}
-			g, err := ddg.BuildOpts(region, opts)
-			if err != nil {
-				return err
-			}
-			return printGraph(g)
+			source.Trace = o
 		}
-
-		var tr *trace.Trace
-		if *traceFile != "" {
-			// Whole-program analysis needs every event resident; only this
-			// mode decodes the file into memory.
-			f, o, err := openTrace()
-			if err != nil {
-				return err
-			}
-			events, err := trace.ReadAll(o.Source())
-			f.Close()
-			if err != nil {
-				return err
-			}
-			tr = &trace.Trace{Module: mod, Events: events}
-		} else {
-			var err error
-			_, tr, err = pipeline.TraceCtxOpts(ctx, mod, core.Budget{}, copts)
-			if err != nil {
-				return err
-			}
-		}
-		if *line != 0 && *instance < 0 {
-			// Analyze every dynamic execution of the loop, regions fanned
-			// out across the worker pool.
-			regs, err := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, *line, opts, copts)
+		regs, err := pipeline.Analyze(ctx, source, pipeline.Spec{
+			Line: *line, Instance: *instance, DDG: opts, Core: copts, ScanWorkers: tf.ScanWorkers,
+		})
+		if *instance < 0 || (*jsonOut && len(regs) > 0) {
 			printRegions(regs, err)
 			return err
-		}
-		var g *ddg.Graph
-		if *line == 0 {
-			g, err = ddg.BuildOpts(tr, opts)
-		} else {
-			var region *trace.Trace
-			region, err = pipeline.LoopRegion(tr, *line, *instance)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return printRegionJSON(region, *instance)
-			}
-			g, err = ddg.BuildOpts(region, opts)
 		}
 		if err != nil {
 			return err
 		}
-		return printGraph(g)
+		_, sp := obs.StartSpan(ctx, "report")
+		fmt.Print(regs[0].Report.String())
+		sp.End()
+		if tr != nil {
+			region := tr.Regions(mod.LoopByLine(*line).ID)[*instance]
+			g, err := ddg.BuildOpts(tr.Slice(region), opts)
+			if err != nil {
+				return err
+			}
+			printKumar(g)
+		}
+		return nil
 	}()
 	if serr := prof.Stop(); err == nil {
 		err = serr
@@ -554,7 +514,6 @@ func analyzeCmd(file, src string, rest []string) error {
 		"file": file, "line": *line, "instance": *instance,
 		"workers": copts.WorkerCount(), "tile": *tile,
 		"relax_reductions": *relax, "int_ops": *intOps,
-		"dispatch": *dispatch, "shadow": *shadow,
 	}
 	if *traceFile != "" {
 		config["trace"] = *traceFile
@@ -590,7 +549,7 @@ func speedupCmd(origFile string, rest []string) error {
 		if err != nil {
 			return nil, err
 		}
-		res, err := pipeline.Run(mod, true)
+		res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 		if err != nil {
 			return nil, err
 		}

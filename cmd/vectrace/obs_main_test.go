@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -175,5 +176,55 @@ func TestAnalyzeDebugAddr(t *testing.T) {
 	}
 	if !strings.Contains(out, "avg-concurrency") {
 		t.Errorf("analysis output looks wrong:\n%s", out)
+	}
+}
+
+// TestAnalyzeAllInstancesStreams: `analyze -instance -1` on a live program
+// runs the streaming path, so the region events it holds at once are the
+// in-flight chunks — per region worker one being fed, a full queue, and one
+// waiting to be queued: at most workers × (queue + 2) chunks of 1024 events
+// (the pipeline's streamChunkEvents and streamChunkQueue) — however long the
+// trace is. Tracing the whole program into memory first leaves the gauge
+// at zero.
+func TestAnalyzeAllInstancesStreams(t *testing.T) {
+	const (
+		workers     = 2
+		chunkEvents = 1024
+		chunkQueue  = 4
+	)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "long.c")
+	// Four long regions keep the printed report (and the captured pipe)
+	// small.
+	src := `double a[32768];
+void main() {
+  int t; int i;
+  for (t = 0; t < 4; t++) {
+    for (i = 1; i < 32768; i++) { a[i] = a[i-1] * 0.5 + 0.25; }
+  }
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	statsPath := filepath.Join(dir, "stats.json")
+	if _, err := capture(t, "analyze", path, "-line", "5", "-instance", "-1",
+		"-workers", strconv.Itoa(workers), "-stats", statsPath); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs obs.RunStats
+	if err := json.Unmarshal(data, &rs); err != nil {
+		t.Fatal(err)
+	}
+	if steps := rs.Counters["interp_steps"]; steps < 1_000_000 {
+		t.Fatalf("trace has %d events, want >= 1M", steps)
+	}
+	peak := rs.Counters["scan_peak_retained_events"]
+	if limit := int64(workers * (chunkQueue + 2) * chunkEvents); peak <= 0 || peak > limit {
+		t.Fatalf("scan_peak_retained_events = %d, want in (0, %d]", peak, limit)
 	}
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, tr, err := pipeline.Trace(mod)
+	res, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,11 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/simd"
@@ -24,6 +24,7 @@ func main() {
 	trans := kernels.GaussSeidelTransformed(48, 4)
 
 	// 1. What does the compiler do with the original?
+	ctx := context.Background()
 	mod, err := pipeline.Compile(orig.Name+".c", orig.Source)
 	if err != nil {
 		log.Fatal(err)
@@ -33,21 +34,14 @@ func main() {
 	fmt.Printf("original inner loop: vectorized=%v (%s)\n",
 		verdicts[lm.ID].Vectorized, verdicts[lm.ID].Reason)
 
-	// 2. What does the dynamic analysis say? Analyze one sweep of the
-	// i-loop region.
-	_, tr, err := pipeline.Trace(mod)
+	// 2. What does the dynamic analysis say? Analyze the first dynamic
+	// region of the time loop.
+	regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod},
+		pipeline.Spec{Line: orig.LineOf("@time-loop"), Instance: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, orig.LineOf("@time-loop"), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := ddg.Build(region)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := core.Analyze(g, core.Options{})
+	rep := regs[0].Report
 	fmt.Printf("dynamic analysis: %.1f%% unit-stride vec ops, %.1f%% non-unit (wavefront)\n",
 		rep.UnitVecOpsPct, rep.NonUnitVecOpsPct)
 
@@ -64,11 +58,11 @@ func main() {
 		tverdicts[ser.ID].Vectorized, tverdicts[ser.ID].Reason)
 
 	// 4. Modeled speedups (Table 4 row).
-	ores, err := pipeline.Run(mod, true)
+	ores, err := pipeline.Run(ctx, mod, true, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tres, err := pipeline.Run(tmod, true)
+	tres, err := pipeline.Run(ctx, tmod, true, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,11 +9,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/simd"
@@ -24,19 +24,17 @@ func main() {
 	cs := kernels.Milc(256)
 
 	// Dynamic analysis of the original AoS loop: the §3.3 signal.
-	mod, _, tr, err := pipeline.CompileAndTrace(cs.Original.Name+".c", cs.Original.Source)
+	ctx := context.Background()
+	mod, err := pipeline.Compile(cs.Original.Name+".c", cs.Original.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, cs.Original.LineOf("@hot"), 0)
+	regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod},
+		pipeline.Spec{Line: cs.Original.LineOf("@hot"), Instance: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := ddg.Build(region)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := core.Analyze(g, core.Options{})
+	rep := regs[0].Report
 	fmt.Println("original (array-of-structures) lattice:")
 	fmt.Printf("  unit-stride vec ops:     %.1f%%\n", rep.UnitVecOpsPct)
 	fmt.Printf("  non-unit-stride vec ops: %.1f%% at avg size %.1f  <-- layout-transform signal\n",
@@ -58,11 +56,11 @@ func main() {
 		tverdicts[vl.ID].Vectorized, tverdicts[vl.ID].Reduction)
 
 	// Table 4 row: modeled speedups.
-	ores, err := pipeline.Run(mod, true)
+	ores, err := pipeline.Run(ctx, mod, true, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tres, err := pipeline.Run(tmod, true)
+	tres, err := pipeline.Run(ctx, tmod, true, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,14 +10,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/staticvec"
+	"github.com/example/vectrace/internal/trace"
 )
 
 func main() {
@@ -34,15 +34,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		region, err := pipeline.LoopRegion(tr, k.LineOf("@hot"), 0)
+		regs, err := pipeline.Analyze(context.Background(),
+			pipeline.Source{Module: mod, Events: &trace.SliceSource{Events: tr.Events}},
+			pipeline.Spec{Line: k.LineOf("@hot"), Instance: 0})
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := ddg.Build(region)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep := core.Analyze(g, core.Options{})
+		rep := regs[0].Report
 
 		verdicts := staticvec.AnalyzeModule(mod)
 		inner := mod.LoopByLine(k.LineOf("@inner"))

@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/trace"
 )
 
 // faultKernelSrc has one multi-region inner loop (line 6) with several
@@ -111,8 +111,12 @@ func TestAnalyzeRegionsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	analyze := func(ctx context.Context, copts core.Options) ([]pipeline.RegionReport, error) {
+		src := pipeline.Source{Module: tr.Module, Events: &trace.SliceSource{Events: tr.Events}}
+		return pipeline.Analyze(ctx, src, pipeline.Spec{Line: faultKernelInnerLine, Instance: -1, Core: copts})
+	}
 	// Total work units = regions x candidates per region, from a no-fault run.
-	regs, err := pipeline.AnalyzeLoopRegions(tr, faultKernelInnerLine, ddg.Options{}, core.Options{Workers: 1})
+	regs, err := analyze(context.Background(), core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +140,7 @@ func TestAnalyzeRegionsDeadline(t *testing.T) {
 			calls.Store(0)
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			start := time.Now()
-			_, err := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, faultKernelInnerLine,
-				ddg.Options{}, core.Options{Workers: workers, TileSize: tile})
+			_, err := analyze(ctx, core.Options{Workers: workers, TileSize: tile})
 			elapsed := time.Since(start)
 			cancel()
 			if err == nil {
@@ -179,7 +182,7 @@ void main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = pipeline.RunCtx(ctx, mod, false, core.Budget{})
+	_, err = pipeline.Run(ctx, mod, false, core.Budget{})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("interpreter returned after %v", elapsed)
 	}
@@ -202,7 +205,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pipeline.RunCtx(context.Background(), mod, false, core.Budget{MaxSteps: 50})
+	_, err = pipeline.Run(context.Background(), mod, false, core.Budget{MaxSteps: 50})
 	if !errors.Is(err, core.ErrResourceLimit) {
 		t.Fatalf("error %v does not wrap core.ErrResourceLimit", err)
 	}
@@ -222,7 +225,7 @@ void main() { printi(down(500)); }
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pipeline.RunCtx(context.Background(), mod, false, core.Budget{MaxDepth: 16})
+	_, err = pipeline.Run(context.Background(), mod, false, core.Budget{MaxDepth: 16})
 	if !errors.Is(err, core.ErrResourceLimit) {
 		t.Fatalf("MaxDepth error %v does not wrap core.ErrResourceLimit", err)
 	}
@@ -230,7 +233,7 @@ void main() { printi(down(500)); }
 		t.Fatalf("MaxDepth error %q does not mention the call depth", err)
 	}
 
-	_, err = pipeline.RunCtx(context.Background(), mod, false, core.Budget{MaxStackBytes: 2048})
+	_, err = pipeline.Run(context.Background(), mod, false, core.Budget{MaxStackBytes: 2048})
 	if !errors.Is(err, core.ErrResourceLimit) {
 		t.Fatalf("stack-arena error %v does not wrap core.ErrResourceLimit", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -287,10 +288,7 @@ func TestListing3NonUnitStride(t *testing.T) {
 
 	// The AoS loop (@aos-loop region): S2/S3 instances are independent
 	// with stride sizeof(struct point) = 16.
-	region, err := pipeline.LoopRegion(tr, k.LineOf("@aos-loop"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	region := tr.Slice(tr.Regions(tr.Module.LoopByLine(k.LineOf("@aos-loop")).ID)[0])
 	g, err := ddg.Build(region)
 	if err != nil {
 		t.Fatal(err)
@@ -309,10 +307,7 @@ func TestListing3NonUnitStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region4, err := pipeline.LoopRegion(tr4, k4.LineOf("@soa-loop"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	region4 := tr4.Slice(tr4.Regions(tr4.Module.LoopByLine(k4.LineOf("@soa-loop")).ID)[0])
 	g4, err := ddg.Build(region4)
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +326,7 @@ func TestListing3ColumnStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, k.LineOf("@col-outer"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	region := tr.Slice(tr.Regions(tr.Module.LoopByLine(k.LineOf("@col-outer")).ID)[0])
 	g, err := ddg.Build(region)
 	if err != nil {
 		t.Fatal(err)
@@ -359,11 +351,11 @@ func TestListing3vs4Equivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := pipeline.Run(a, false)
+	ra, err := pipeline.Run(context.Background(), a, false, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := pipeline.Run(b, false)
+	rb, err := pipeline.Run(context.Background(), b, false, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

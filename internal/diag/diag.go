@@ -21,8 +21,8 @@ import (
 
 // Timeout is the -timeout flag shared by vectrace analyze and vecbench: a
 // wall-clock deadline for the whole analysis, enforced cooperatively via
-// context cancellation (the interpreter polls its step counter, the trace
-// scanner its event counter, and the analysis pool its tile dispatch).
+// context cancellation (the interpreter polls its step counter, the region
+// feed its event counter, and the analysis pool its tile dispatch).
 type Timeout struct {
 	// D is the selected deadline; zero means no deadline.
 	D time.Duration

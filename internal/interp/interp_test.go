@@ -1,6 +1,8 @@
 package interp_test
 
 import (
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"math"
 	"strings"
 	"testing"
@@ -24,7 +26,7 @@ func runRes(t *testing.T, src string) *interp.Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := pipeline.Run(mod, true)
+	res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -37,7 +39,7 @@ func runErr(t *testing.T, src, wantSubstr string) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	_, err = pipeline.Run(mod, false)
+	_, err = pipeline.Run(context.Background(), mod, false, core.Budget{})
 	if err == nil {
 		t.Fatalf("expected runtime error containing %q", wantSubstr)
 	}

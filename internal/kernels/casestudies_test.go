@@ -1,6 +1,8 @@
 package kernels_test
 
 import (
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"math"
 	"testing"
 
@@ -23,7 +25,7 @@ func TestCaseStudyEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", k.Name, err)
 				}
-				res, err := pipeline.Run(mod, false)
+				res, err := pipeline.Run(context.Background(), mod, false, core.Budget{})
 				if err != nil {
 					t.Fatalf("%s: %v", k.Name, err)
 				}
@@ -73,7 +75,7 @@ func TestSPECKernelsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := pipeline.Run(mod, true)
+			res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,10 +17,7 @@ func analyzeRegion(t *testing.T, k kernels.Kernel, marker string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, k.LineOf(marker), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	region := tr.Slice(tr.Regions(tr.Module.LoopByLine(k.LineOf(marker)).ID)[0])
 	g, err := ddg.Build(region)
 	if err != nil {
 		t.Fatal(err)

@@ -21,10 +21,7 @@ func analyzeHot(t *testing.T, k kernels.Kernel) (*core.Report, []float64) {
 		t.Fatalf("%s: %v", k.Name, err)
 	}
 	_ = mod
-	region, err := pipeline.LoopRegion(tr, k.LineOf("@hot"), 0)
-	if err != nil {
-		t.Fatalf("%s: %v", k.Name, err)
-	}
+	region := tr.Slice(tr.Regions(tr.Module.LoopByLine(k.LineOf("@hot")).ID)[0])
 	g, err := ddg.Build(region)
 	if err != nil {
 		t.Fatalf("%s: DDG: %v", k.Name, err)

@@ -11,8 +11,11 @@ import (
 // live. The design constraints match the rest of the recorder —
 //
 //   - Observe is lock-free: one atomic add into a fixed log-spaced bucket
-//     plus count/sum/max updates, safe for concurrent use from every
-//     worker and HTTP handler at once. No allocation after creation.
+//     plus sum/max updates, safe for concurrent use from every worker and
+//     HTTP handler at once. No allocation after creation.
+//   - The count is the bucket total, not a separate counter, so every
+//     snapshot satisfies Count == Σ Buckets (the +Inf cumulative bucket)
+//     however it interleaves with concurrent Observe calls.
 //   - Nil is the off state: a nil *Histogram ignores Observe, so callers
 //     thread histograms unconditionally (the recorder hands out nil ones
 //     when observability is off).
@@ -55,7 +58,6 @@ func histIndex(ns int64) int {
 // A Histogram is a fixed-bucket, log-spaced latency histogram safe for
 // concurrent Observe. The nil Histogram is inert.
 type Histogram struct {
-	count   atomic.Int64
 	sumNs   atomic.Int64
 	maxNs   atomic.Int64
 	buckets [histBuckets]atomic.Int64
@@ -72,7 +74,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		ns = 0
 	}
 	h.buckets[histIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(ns)
 	for {
 		cur := h.maxNs.Load()
@@ -87,42 +88,46 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
-// Snapshot returns a consistent-enough copy for export: buckets are read
-// individually, so a snapshot taken mid-Observe may be off by the events
-// in flight — fine for monitoring, never torn per bucket.
+// Snapshot returns a copy for export. Buckets are read individually, so a
+// snapshot taken mid-Observe may miss the events in flight, but Count is
+// the sum of the buckets it read: the exposition's count and +Inf bucket
+// always agree.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
 	s.SumNs = h.sumNs.Load()
 	s.MaxNs = h.maxNs.Load()
 	s.Buckets = make([]int64, histBuckets)
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
 
 // AddSnapshot folds a snapshot's observations into the live histogram —
 // the merge direction the server uses to aggregate each finished job's
-// per-stage histograms into the service-wide ones. No-op on nil.
+// per-stage histograms into the service-wide ones. The observations are
+// the snapshot's buckets; a snapshot without the bucket scheme adds
+// nothing. No-op on nil.
 func (h *Histogram) AddSnapshot(s HistogramSnapshot) {
-	if h == nil || s.Count == 0 {
+	if h == nil || len(s.Buckets) != histBuckets {
 		return
 	}
-	if len(s.Buckets) == histBuckets {
-		for i, n := range s.Buckets {
-			if n > 0 {
-				h.buckets[i].Add(n)
-			}
+	for i, n := range s.Buckets {
+		if n > 0 {
+			h.buckets[i].Add(n)
 		}
 	}
-	h.count.Add(s.Count)
 	h.sumNs.Add(s.SumNs)
 	for {
 		cur := h.maxNs.Load()

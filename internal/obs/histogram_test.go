@@ -95,7 +95,8 @@ func TestHistogramQuantile(t *testing.T) {
 // TestHistogramConcurrent hammers one histogram from many goroutines with
 // snapshot readers interleaved — the -race run proves Observe is safe from
 // every worker and HTTP handler at once, and the final totals prove no
-// observation was lost.
+// observation was lost. (Mid-run snapshot consistency is
+// TestHistogramSnapshotCountMatchesBuckets.)
 func TestHistogramConcurrent(t *testing.T) {
 	const writers, perWriter = 8, 2000
 	var h Histogram
@@ -110,18 +111,7 @@ func TestHistogramConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					s := h.Snapshot()
-					var inBuckets int64
-					for _, n := range s.Buckets {
-						inBuckets += n
-					}
-					// Observe bumps the bucket before the count, and Snapshot
-					// reads count before buckets, so the bucket total can only
-					// run ahead of count — behind means a lost bucket add.
-					if inBuckets < s.Count-writers {
-						t.Errorf("snapshot lost bucket adds: %d in buckets, count %d", inBuckets, s.Count)
-						return
-					}
+					h.Snapshot()
 				}
 			}
 		}()
@@ -149,6 +139,47 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if inBuckets != s.Count {
 		t.Errorf("bucket total %d != count %d after quiesce", inBuckets, s.Count)
+	}
+}
+
+// TestHistogramSnapshotCountMatchesBuckets: a snapshot taken while other
+// goroutines Observe must still satisfy Count == Σ Buckets. The Prometheus
+// exposition prints Count as _count and Σ Buckets as the +Inf bucket, and
+// scrapers reject a family where the two differ.
+func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
+	var h Histogram
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(time.Duration(w*1000+i%1000) * time.Microsecond)
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 20000; i++ {
+		s := h.Snapshot()
+		var inBuckets int64
+		for _, n := range s.Buckets {
+			inBuckets += n
+		}
+		if inBuckets != s.Count {
+			t.Fatalf("snapshot %d: count %d != Σ buckets %d", i, s.Count, inBuckets)
+		}
+		if c := h.Count(); c < s.Count {
+			t.Fatalf("Count() went backwards: %d after a snapshot of %d", c, s.Count)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@
 //     the recorder on and off, and the overhead benchmark bounds the
 //     nil-recorder cost of the hooks.
 //   - Hot loops never consult the recorder per element. The interpreter
-//     reports at its existing 16384-step cancellation poll, the trace
-//     scanner at its 4096-event poll, and the analysis kernel at tile
+//     reports at its existing 16384-step cancellation poll, the region
+//     feed at its 4096-event poll, and the analysis kernel at tile
 //     granularity; everything finer is accumulated locally first.
 //   - Counters are fixed-index atomics (no map, no lock on the hot path);
 //     only span recording takes a mutex, and spans are stage-granular.
@@ -60,9 +60,9 @@ const (
 	// — region requests that seeked straight to their block range instead of
 	// decoding the stream prefix.
 	RegionIndexHits
-	// EventsScanned counts trace events consumed by the region scanner.
+	// EventsScanned counts trace events consumed by the region feed.
 	EventsScanned
-	// RegionsScanned counts dynamic regions the scanner closed and yielded.
+	// RegionsScanned counts dynamic regions the region feed closed.
 	RegionsScanned
 	// RegionsStarted / RegionsCompleted / RegionsFailed track the analysis
 	// lifecycle of regions in both the in-memory and streaming paths.
@@ -87,8 +87,10 @@ const (
 	// per-worker analysis buffers (a miss is a fresh allocation).
 	ScratchPoolHits
 	ScratchPoolMisses
-	// ScanPeakRetainedEvents is the scanner's high-water mark of buffered
-	// events (a max gauge): the bounded-memory guarantee, observed.
+	// ScanPeakRetainedEvents is the high-water mark of region events held
+	// for region workers (a max gauge): chunks queued or being fed on the
+	// streaming path, whole regions while a buffered region is analyzed.
+	// On the streaming path it is the bounded-memory guarantee, observed.
 	ScanPeakRetainedEvents
 	// ResidentRegions / PeakResidentRegions gauge materialized regions in
 	// flight in the streaming path (current value and high-water mark).

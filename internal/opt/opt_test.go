@@ -1,7 +1,9 @@
 package opt_test
 
 import (
+	"context"
 	"fmt"
+	"github.com/example/vectrace/internal/core"
 	"testing"
 
 	"github.com/example/vectrace/internal/interp"
@@ -17,7 +19,7 @@ func runBoth(t *testing.T, src string) (plain, optimized *interp.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err = pipeline.Run(mod, false)
+	plain, err = pipeline.Run(context.Background(), mod, false, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func runBoth(t *testing.T, src string) (plain, optimized *interp.Result) {
 	if err := mod2.Verify(); err != nil {
 		t.Fatalf("optimized module fails verification: %v", err)
 	}
-	optimized, err = pipeline.Run(mod2, false)
+	optimized, err = pipeline.Run(context.Background(), mod2, false, core.Budget{})
 	if err != nil {
 		t.Fatalf("optimized run: %v", err)
 	}
@@ -112,7 +114,7 @@ void main() {
 		t.Fatal(err)
 	}
 	opt.Optimize(mod)
-	if _, err := pipeline.Run(mod, false); err == nil {
+	if _, err := pipeline.Run(context.Background(), mod, false, core.Budget{}); err == nil {
 		t.Fatal("optimization removed the division trap")
 	}
 }

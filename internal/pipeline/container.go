@@ -1,209 +1,73 @@
 package pipeline
 
-// VTR2 container wiring: recording straight into the indexed format and
-// the indexed-parallel region analysis. The analysis contract matches the
-// sequential paths exactly — same per-region computation (AnalyzeRegion,
-// Workers=1 inside a region), same "pipeline: region %d: ..." error texts,
-// same lifecycle counters, results in index-addressed slots — so the
-// differential battery can assert byte-identical output between a VTR1
-// sequential scan and a VTR2 parallel scan at any worker count. What the
-// index changes is the access pattern: regions are decoded from their
-// covering blocks only, fanned across scan workers, instead of streaming
-// the whole trace through one decoder.
+// The indexed VTR2 driver: the one region driver besides the RegionFeed
+// dispatcher, selected by the input itself (a VTR2 file whose footer index
+// verified). Its contract matches the fed path exactly — same per-region
+// computation (AnalyzeRegion, Workers=1 inside a region), same
+// "pipeline: region %d: ..." error texts, same lifecycle counters, results
+// in index-addressed slots — so the differential battery can assert
+// byte-identical output between a VTR1 sequential scan and a VTR2 indexed
+// scan at any worker count. What the index changes is the access pattern:
+// regions are decoded from their covering blocks only, fanned across scan
+// workers, instead of streaming the whole trace through one decoder.
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
-	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
-	"github.com/example/vectrace/internal/interp"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/trace"
 )
 
-// containerSink streams interpreter events into a trace.ContainerWriter,
-// the VTR2 counterpart of encoderSink.
-type containerSink struct {
-	cw  *trace.ContainerWriter
-	err error
-}
-
-// Exec implements interp.Tracer.
-func (s *containerSink) Exec(id int32, addr int64) {
-	if s.err == nil {
-		s.err = s.cw.Write(trace.Event{ID: id, Addr: addr})
-	}
-}
-
-// ExecBatch implements interp.BatchTracer: one fan-out call per recycled
-// event chunk instead of one per event.
-func (s *containerSink) ExecBatch(events []interp.Event) {
-	for _, ev := range events {
-		if s.err != nil {
-			return
-		}
-		s.err = s.cw.Write(trace.Event{ID: ev.ID, Addr: ev.Addr})
-	}
-}
-
-// RecordContainer executes the module's main function under full
-// instrumentation, streaming the trace to w as an indexed VTR2 container.
-// Like Record, peak memory is independent of the trace length (one block
-// plus the growing index).
-func RecordContainer(mod *ir.Module, w io.Writer, opts trace.ContainerOptions) (*interp.Result, error) {
-	return RecordContainerCtx(context.Background(), mod, w, core.Budget{}, opts)
-}
-
-// RecordContainerCtx is RecordContainer with cooperative cancellation and
-// the budget's interpreter limits applied.
-func RecordContainerCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Budget, opts trace.ContainerOptions) (*interp.Result, error) {
-	ctx, sp := obs.StartSpan(ctx, "record")
-	defer sp.End()
-	cw, err := trace.NewContainerWriter(w, mod, opts)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: recording trace: %w", err)
-	}
-	sink := &containerSink{cw: cw}
-	m := interp.New(mod, interpConfig(budget, sink, true, false))
-	res, err := m.RunContext(ctx, "main")
-	if err != nil {
-		return nil, err
-	}
-	if sink.err != nil {
-		return nil, fmt.Errorf("pipeline: recording trace: %w", sink.err)
-	}
-	if err := cw.Close(); err != nil {
-		return nil, fmt.Errorf("pipeline: recording trace: %w", err)
-	}
-	return res, nil
-}
-
-// AnalyzeLoopRegionsIndexed analyzes every dynamic region of the loop on
-// the given source line by seeking through a VTR2 container's footer index:
-// regions fan out across scanWorkers workers, each decoding only its
-// region's covering blocks and running the standard per-region analysis in
-// place (scan and analyze fused per worker, so decoded events feed the
-// kernel without a handoff). scanWorkers <= 0 means copts.WorkerCount().
+// analyzeIndexed analyzes the loop's regions by seeking through a VTR2
+// container's footer index. A single instance decodes only its covering
+// blocks. Every region fans out across spec.ScanWorkers workers (0 means
+// spec.Core.WorkerCount()), each decoding its regions' blocks and running
+// the standard per-region analysis in place, so decoded events feed the
+// kernel without a handoff.
 //
 // Degradation is per-region and strictly better than sequential: damage in
-// one region's blocks fails that region alone, while the sequential scanner
-// must stop at the first damaged byte. On a pristine trace the output —
-// reports, error texts, lifecycle counters — is byte-identical to
-// AnalyzeLoopRegionsStreamCtx at any worker count.
-func AnalyzeLoopRegionsIndexed(ctx context.Context, c *trace.Container, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
-	}
-	ctx, span := obs.StartSpan(ctx, "region-analyze")
-	defer span.End()
+// one region's blocks fails that region alone, while a sequential scan must
+// stop at the first damaged byte.
+func analyzeIndexed(ctx context.Context, c *trace.Container, mod *ir.Module, loopID int, spec Spec) ([]RegionReport, error) {
 	rec := obs.FromContext(ctx)
-	regions := c.RegionsOf(lm.ID)
+	regions := c.RegionsOf(loopID)
+	if spec.Instance >= 0 {
+		if spec.Instance >= len(regions) {
+			return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", spec.Line, len(regions), spec.Instance)
+		}
+		sub, err := c.Cursor().RegionTrace(mod, regions[spec.Instance])
+		if err != nil {
+			return nil, err
+		}
+		rr := analyzeOne(ctx, sub, spec.Instance, spec)
+		return []RegionReport{rr}, rr.Err
+	}
 	if len(regions) == 0 {
-		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
+		return nil, fmt.Errorf("pipeline: loop on line %d never executed", spec.Line)
 	}
+	scanWorkers := spec.ScanWorkers
 	if scanWorkers <= 0 {
-		scanWorkers = copts.WorkerCount()
+		scanWorkers = spec.Core.WorkerCount()
 	}
-	inner := copts
-	inner.Workers = 1
+	inner := spec
+	inner.Core.Workers = 1
 	out := make([]RegionReport, len(regions))
-	_ = c.ScanIndexedRegions(ctx, mod, lm.ID, scanWorkers, func(k int, r trace.IndexRegion, sub *trace.Trace, derr error) {
-		var start time.Time
-		if rec != nil {
-			start = time.Now()
-			rec.Add(obs.RegionsStarted, 1)
-		}
-		rt := rec.StartTimer("region")
-		out[k] = RegionReport{Index: k, Events: r.Events()}
-		fail := func(err error) {
-			out[k].Err = fmt.Errorf("pipeline: region %d: %w", k, err)
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.RecordRegionFailure(out[k].Err.Error())
-			}
-		}
+	_ = c.ScanIndexedRegions(ctx, mod, loopID, scanWorkers, func(k int, r trace.IndexRegion, sub *trace.Trace, derr error) {
 		if derr != nil {
+			clock := startRegion(rec)
+			out[k] = RegionReport{Index: k, Events: r.Events()}
 			if off, ok := trace.CorruptOffset(derr); ok {
 				rec.SetCorruptByte(off)
 			}
-			fail(derr)
-		} else {
-			rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
-			err := core.Guard(k, "region", int64(k), func() error {
-				rep, aerr := AnalyzeRegion(ctx, sub, dopts, inner)
-				out[k].Report = rep
-				return aerr
-			})
-			rec.GaugeDec(obs.ResidentRegions)
-			if err != nil {
-				fail(err)
-			} else if rec != nil {
-				rec.Add(obs.RegionsCompleted, 1)
-			}
+			clock.finish(&out[k], derr)
+			return
 		}
-		rt.Stop()
-		if rec != nil {
-			out[k].Elapsed = time.Since(start)
-		}
+		rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
+		out[k] = analyzeOne(ctx, sub, k, inner)
+		rec.GaugeDec(obs.ResidentRegions)
 	})
-	if err := core.Canceled(ctx); err != nil {
-		// Cancellation can leave unvisited slots; truncate at the first hole
-		// so the returned prefix is dense, matching the streaming path.
-		for i := range out {
-			if out[i].Report == nil && out[i].Err == nil {
-				out = out[:i]
-				break
-			}
-		}
-	}
-	errs := make([]error, 0, 2)
-	for i := range out {
-		if out[i].Err != nil {
-			errs = append(errs, out[i].Err)
-		}
-	}
-	if err := core.Canceled(ctx); err != nil {
-		errs = append(errs, err)
-	}
-	return out, errors.Join(errs...)
-}
-
-// AnalyzeLoopRegionsOpened routes an opened trace to the right region
-// analysis: the indexed parallel scan when the footer index is available
-// and scanWorkers >= 0, the sequential streaming scanner otherwise
-// (scanWorkers == -1 forces sequential even on an indexed file — the
-// differential-testing oracle).
-func AnalyzeLoopRegionsOpened(ctx context.Context, o *trace.Opened, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
-	if o.Container != nil && scanWorkers >= 0 {
-		return AnalyzeLoopRegionsIndexed(ctx, o.Container, mod, line, dopts, copts, scanWorkers)
-	}
-	return AnalyzeLoopRegionsStreamCtx(ctx, mod, o.Source(), line, dopts, copts)
-}
-
-// LoopRegionOpened materializes the idx-th dynamic region of the loop on
-// the given source line from an opened trace: an index seek decoding only
-// the covering blocks when the footer index is available, the bounded
-// sequential scan otherwise. Error texts match LoopRegionStream.
-func LoopRegionOpened(o *trace.Opened, mod *ir.Module, line, idx int) (*trace.Trace, error) {
-	if o.Container == nil {
-		return LoopRegionStream(mod, o.Source(), line, idx)
-	}
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
-	}
-	regions := o.Container.RegionsOf(lm.ID)
-	if idx < 0 || idx >= len(regions) {
-		return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", line, len(regions), idx)
-	}
-	return o.Container.Cursor().RegionTrace(mod, regions[idx])
+	out = denseOnCancel(ctx, out)
+	return out, joinRegionErrors(ctx, out, nil)
 }

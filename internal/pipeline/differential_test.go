@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/faultio"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/obs"
@@ -40,10 +39,10 @@ func diffWorkerCounts() []int {
 func recordBoth(t *testing.T, mod *ir.Module, opts trace.ContainerOptions) (vtr1, vtr2 []byte) {
 	t.Helper()
 	var b1, b2 bytes.Buffer
-	if _, err := pipeline.Record(mod, &b1); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &b1, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.RecordContainer(mod, &b2, opts); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &b2, core.Budget{}, trace.FormatVTR2, opts); err != nil {
 		t.Fatal(err)
 	}
 	return b1.Bytes(), b2.Bytes()
@@ -87,7 +86,7 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
 			}
-			dopts, copts := ddg.Options{}, core.Options{}
+			copts := core.Options{}
 
 			var vtr1 []byte
 			containers := make(map[int][]byte, len(diffBlockSizes))
@@ -98,15 +97,16 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 			}
 
 			for _, line := range loopLines(mod) {
-				oracle, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
-					trace.NewDecoder(bytes.NewReader(vtr1)), line, dopts, copts)
+				oracle, err := analyzeAll(context.Background(),
+					pipeline.Source{Module: mod, Events: trace.NewDecoder(bytes.NewReader(vtr1))}, line, copts)
 				if err != nil {
 					t.Fatalf("line %d: sequential oracle failed: %v", line, err)
 				}
 				for _, bs := range diffBlockSizes {
 					c := openContainer(t, containers[bs])
 					for _, workers := range diffWorkerCounts() {
-						got, err := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), c, mod, line, dopts, copts, workers)
+						got, err := pipeline.Analyze(context.Background(), indexedSource(mod, c),
+							pipeline.Spec{Line: line, Instance: -1, Core: copts, ScanWorkers: workers})
 						if err != nil {
 							t.Fatalf("line %d block %d workers %d: %v", line, bs, workers, err)
 						}
@@ -153,8 +153,8 @@ func TestDifferentialCounterParity(t *testing.T) {
 
 	seqRec := obs.New()
 	seqCtx := obs.WithRecorder(context.Background(), seqRec)
-	seq, err := pipeline.AnalyzeLoopRegionsStreamCtx(seqCtx, mod,
-		trace.NewDecoder(bytes.NewReader(vtr1)), faultInnerLine, ddg.Options{}, core.Options{})
+	seq, err := analyzeAll(seqCtx, pipeline.Source{Module: mod, Events: trace.NewDecoder(bytes.NewReader(vtr1))},
+		faultInnerLine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDifferentialCounterParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := pipeline.AnalyzeLoopRegionsIndexed(idxCtx, c, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	idx, err := pipeline.Analyze(idxCtx, indexedSource(mod, c), pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDifferentialCounterParity(t *testing.T) {
 }
 
 // TestInstanceSeekReadsOnlyCoveringBlocks pins the `analyze -instance K`
-// acceptance criterion at the pipeline layer: materializing one region of a
+// acceptance criterion at the pipeline layer: analyzing one region of a
 // many-block container through the opened-trace path decodes only the
 // blocks its indexed byte range covers.
 func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
@@ -207,7 +207,7 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.RecordContainer(mod, &buf, trace.ContainerOptions{BlockBytes: 64, Codec: "none"}); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{BlockBytes: 64, Codec: "none"}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -224,15 +224,16 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 	if total < 8 {
 		t.Fatalf("want a many-block container, got %d blocks", total)
 	}
-	sub, err := pipeline.LoopRegionOpened(o, mod, faultInnerLine, 1)
+	spec := pipeline.Spec{Line: faultInnerLine, Instance: 1}
+	sub, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub.Events) == 0 {
+	if sub[0].Events == 0 {
 		t.Fatal("seek returned an empty region")
 	}
 	read := rec.Get(obs.TraceBlocksRead)
-	covering := int64(len(sub.Events)/8 + 2) // 64-byte blocks hold ≥ 8 single-byte events
+	covering := int64(sub[0].Events/8 + 2) // 64-byte blocks hold ≥ 8 single-byte events
 	if read == 0 || read > covering {
 		t.Fatalf("instance seek read %d blocks, want 1..%d of %d", read, covering, total)
 	}
@@ -240,13 +241,14 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 		t.Fatalf("region_index_hits = %d, want 1", rec.Get(obs.RegionIndexHits))
 	}
 
-	// The sequential oracle agrees on the region's content.
-	want, err := pipeline.LoopRegionStream(mod, trace.NewBlockSource(bytes.NewReader(data), nil), faultInnerLine, 1)
+	// The sequential oracle agrees on the region's analysis.
+	want, err := pipeline.Analyze(context.Background(),
+		pipeline.Source{Module: mod, Events: trace.NewBlockSource(bytes.NewReader(data), nil)}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sub.Events, want.Events) {
-		t.Fatal("indexed seek and sequential scan disagree on the region's events")
+	if !reflect.DeepEqual(sub, want) {
+		t.Fatal("indexed seek and sequential scan disagree on the region")
 	}
 }
 
@@ -279,15 +281,13 @@ func TestDifferentialCLIErrorTexts(t *testing.T) {
 		call func(o *trace.Opened) error
 	}{
 		{"no-loop-line", func(o *trace.Opened) error {
-			_, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), o, mod, 2, ddg.Options{}, core.Options{}, 2)
+			_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o},
+				pipeline.Spec{Line: 2, Instance: -1, ScanWorkers: 2})
 			return err
 		}},
 		{"bad-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionOpened(o, mod, faultInnerLine, 99)
-			return err
-		}},
-		{"negative-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionOpened(o, mod, faultInnerLine, -1)
+			_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o},
+				pipeline.Spec{Line: faultInnerLine, Instance: 99})
 			return err
 		}},
 	} {
@@ -312,7 +312,7 @@ func TestVTR2TruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.RecordContainer(mod, &buf, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -321,7 +321,11 @@ func TestVTR2TruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intact, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), o, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	opened := func(o *trace.Opened) ([]pipeline.RegionReport, error) {
+		return pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o},
+			pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
+	}
+	intact, err := opened(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +345,7 @@ func TestVTR2TruncationSweep(t *testing.T) {
 		if op.Container != nil {
 			t.Fatalf("offset %d: truncated container still opened with a usable index", off)
 		}
-		regs, aerr := pipeline.AnalyzeLoopRegionsOpened(context.Background(), op, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+		regs, aerr := opened(op)
 		if aerr == nil {
 			// The cut only removed footer bytes: the full event stream
 			// survived, so the salvage analysis must equal the clean run.
@@ -381,12 +385,15 @@ func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.RecordContainer(mod, &buf, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	c := openContainer(t, data)
-	intact, err := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), c, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	indexed := func(c *trace.Container) ([]pipeline.RegionReport, error) {
+		return pipeline.Analyze(context.Background(), indexedSource(mod, c),
+			pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
+	}
+	intact, err := indexed(openContainer(t, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +412,7 @@ func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
 			}
 			continue
 		}
-		regs, aerr := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), co, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+		regs, aerr := indexed(co)
 		if len(regs) != len(intact) {
 			t.Fatalf("offset %d: %d region slots, want %d", off, len(regs), len(intact))
 		}
@@ -448,7 +455,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.RecordContainer(mod, &buf, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -462,7 +469,8 @@ func TestVTR2ReaderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("footer read hit the mid-file fault: %v", err)
 	}
-	_, aerr := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), c, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	_, aerr := pipeline.Analyze(context.Background(), indexedSource(mod, c),
+		pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
 	if !errors.Is(aerr, sentinel) {
 		t.Fatalf("indexed analysis error %v does not wrap the injected fault", aerr)
 	}
@@ -472,7 +480,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 
 	// Streaming salvage path over a failing sequential reader.
 	src := trace.NewBlockSource(&faultio.ErrReader{R: bytes.NewReader(data), FailAt: int64(len(data)) / 2, Err: sentinel}, nil)
-	_, serr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, src, faultInnerLine, ddg.Options{}, core.Options{})
+	_, serr := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: src}, faultInnerLine, core.Options{})
 	if !errors.Is(serr, sentinel) {
 		t.Fatalf("salvage analysis error %v does not wrap the injected fault", serr)
 	}
@@ -481,13 +489,14 @@ func TestVTR2ReaderFaults(t *testing.T) {
 	}
 
 	// Short reads (one byte per call) must not change the analysis.
-	want, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
-		trace.NewBlockSource(bytes.NewReader(data), nil), faultInnerLine, ddg.Options{}, core.Options{})
+	want, err := analyzeAll(context.Background(),
+		pipeline.Source{Module: mod, Events: trace.NewBlockSource(bytes.NewReader(data), nil)}, faultInnerLine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
-		trace.NewBlockSource(&faultio.ShortReader{R: bytes.NewReader(data)}, nil), faultInnerLine, ddg.Options{}, core.Options{})
+	got, err := analyzeAll(context.Background(),
+		pipeline.Source{Module: mod, Events: trace.NewBlockSource(&faultio.ShortReader{R: bytes.NewReader(data)}, nil)},
+		faultInnerLine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

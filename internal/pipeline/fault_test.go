@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/faultio"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/pipeline"
@@ -49,16 +48,21 @@ func recordedTrace(t *testing.T) (*ir.Module, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.Record(mod, &buf); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return mod, buf.Bytes()
 }
 
-// streamRegions runs the streaming analysis over raw bytes.
+// analyzeStream analyzes every region of faultSrc's inner loop from src
+// with two workers.
+func analyzeStream(ctx context.Context, mod *ir.Module, src trace.EventSource) ([]pipeline.RegionReport, error) {
+	return analyzeAll(ctx, pipeline.Source{Module: mod, Events: src}, faultInnerLine, core.Options{Workers: 2})
+}
+
+// streamRegions runs the streaming analysis over raw VTR1 bytes.
 func streamRegions(mod *ir.Module, data []byte) ([]pipeline.RegionReport, error) {
-	dec := trace.NewDecoder(bytes.NewReader(data))
-	return pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	return analyzeStream(context.Background(), mod, trace.NewDecoder(bytes.NewReader(data)))
 }
 
 // TestStreamTruncationSweep truncates a recorded trace at every byte offset
@@ -77,7 +81,7 @@ func TestStreamTruncationSweep(t *testing.T) {
 	}
 	for off := 0; off < len(data); off++ {
 		dec := trace.NewDecoder(&faultio.TruncatingReader{R: bytes.NewReader(data), N: int64(off)})
-		regs, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+		regs, err := analyzeStream(context.Background(), mod, dec)
 		if err == nil {
 			t.Fatalf("offset %d: truncated stream analyzed without error", off)
 		}
@@ -113,7 +117,7 @@ func TestStreamReaderError(t *testing.T) {
 	mod, data := recordedTrace(t)
 	sentinel := fmt.Errorf("disk on fire")
 	dec := trace.NewDecoder(&faultio.ErrReader{R: bytes.NewReader(data), FailAt: int64(len(data) / 2), Err: sentinel})
-	_, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	_, err := analyzeStream(context.Background(), mod, dec)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("error %v does not wrap the injected reader error", err)
 	}
@@ -132,7 +136,7 @@ func TestStreamShortReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := trace.NewDecoder(&faultio.ShortReader{R: bytes.NewReader(data)})
-	got, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	got, err := analyzeStream(context.Background(), mod, dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,7 @@ func TestRecordWriterFaults(t *testing.T) {
 	for _, failAt := range []int64{0, 1, int64(len(data) / 2), int64(len(data)) - 1} {
 		var buf bytes.Buffer
 		w := &faultio.ErrWriter{W: &buf, FailAt: failAt}
-		_, err := pipeline.Record(mod, w)
+		_, err := pipeline.Record(context.Background(), mod, w, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{})
 		if err == nil {
 			t.Fatalf("failAt=%d: recording over a failing writer succeeded", failAt)
 		}
@@ -207,7 +211,7 @@ func TestStreamCancellationReleasesWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dec := trace.NewDecoder(bytes.NewReader(data))
-	_, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	_, err := analyzeStream(ctx, mod, dec)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
@@ -225,8 +229,7 @@ func TestStreamMatchesInMemoryNoFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &trace.Trace{Module: mod, Events: events}
-	want, err := pipeline.AnalyzeLoopRegions(tr, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	want, err := analyzeStream(context.Background(), mod, &trace.SliceSource{Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}

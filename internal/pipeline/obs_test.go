@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
@@ -50,19 +49,18 @@ func TestObservedOutputIdentical(t *testing.T) {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 	}
 	encoded := encodeTrace(t, tr)
-	dopts := ddg.Options{}
 	for _, lm := range mod.Loops {
 		for _, workers := range []int{1, 4} {
 			for _, tile := range []int{0, 2, -1} {
 				copts := core.Options{Workers: workers, TileSize: tile}
 				name := fmt.Sprintf("line%d/w%d/t%d", lm.Line, workers, tile)
 
-				plainRegs, plainErr := pipeline.AnalyzeLoopRegionsCtx(context.Background(), tr, lm.Line, dopts, copts)
+				plainRegs, plainErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, copts)
 				plain := renderRegions(plainRegs, plainErr)
 
 				rec := obs.New()
 				ctx := obs.WithRecorder(context.Background(), rec)
-				obsRegs, obsErr := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, lm.Line, dopts, copts)
+				obsRegs, obsErr := analyzeAll(ctx, sliceSource(tr), lm.Line, copts)
 				observed := renderRegions(obsRegs, obsErr)
 				if plain != observed {
 					t.Fatalf("%s: in-memory output differs with recorder attached:\n--- plain ---\n%s--- observed ---\n%s",
@@ -72,7 +70,7 @@ func TestObservedOutputIdentical(t *testing.T) {
 				srec := obs.New()
 				sctx := obs.WithRecorder(context.Background(), srec)
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				streamRegs, streamErr := pipeline.AnalyzeLoopRegionsStreamCtx(sctx, mod, dec, lm.Line, dopts, copts)
+				streamRegs, streamErr := analyzeAll(sctx, pipeline.Source{Module: mod, Events: dec}, lm.Line, copts)
 				streamed := renderRegions(streamRegs, streamErr)
 				if plain != streamed {
 					t.Fatalf("%s: streaming output differs with recorder attached:\n--- plain ---\n%s--- observed stream ---\n%s",
@@ -110,7 +108,7 @@ func TestObservedCountersCohere(t *testing.T) {
 	rec := obs.New()
 	ctx := obs.WithRecorder(context.Background(), rec)
 	dec := trace.NewDecoder(bytes.NewReader(encoded))
-	regs, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, dec, lm.Line, ddg.Options{}, core.Options{Workers: 2})
+	regs, err := analyzeAll(ctx, pipeline.Source{Module: mod, Events: dec}, lm.Line, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("stream analysis: %v", err)
 	}
@@ -203,16 +201,14 @@ func TestObservedFailurePath(t *testing.T) {
 	lm := mod.Loops[0]
 	cut := len(encoded) * 3 / 4
 
-	plainRegs, plainErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
-		trace.NewDecoder(bytes.NewReader(encoded[:cut])), lm.Line, ddg.Options{}, core.Options{Workers: 1})
+	plainRegs, plainErr := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: trace.NewDecoder(bytes.NewReader(encoded[:cut]))}, lm.Line, core.Options{Workers: 1})
 	if plainErr == nil {
 		t.Fatal("truncated stream analyzed cleanly; pick a smaller cut")
 	}
 
 	rec := obs.New()
 	ctx := obs.WithRecorder(context.Background(), rec)
-	obsRegs, obsErr := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod,
-		trace.NewDecoder(bytes.NewReader(encoded[:cut])), lm.Line, ddg.Options{}, core.Options{Workers: 1})
+	obsRegs, obsErr := analyzeAll(ctx, pipeline.Source{Module: mod, Events: trace.NewDecoder(bytes.NewReader(encoded[:cut]))}, lm.Line, core.Options{Workers: 1})
 	if renderRegions(plainRegs, plainErr) != renderRegions(obsRegs, obsErr) {
 		t.Fatal("failure-path output differs with recorder attached")
 	}

@@ -2,13 +2,13 @@ package pipeline_test
 
 // Differential and resource-behavior tests of the one-pass fused
 // ingest→analyze path against the materialized-graph oracle
-// (core.Options.Materialize). Three levels are covered: AnalyzeLoopRegions
-// (in-memory region slices), AnalyzeLoopRegionsStream (decoder-fed), and
-// AnalyzeLoopRegionsLive (interpreter-fed, no trace anywhere) — all must be
-// byte-identical to the oracle for every worker count and tile width.
+// (core.Options.Materialize), through Analyze over in-memory slices and
+// decoder-fed streams — byte-identical to the oracle for every worker count
+// and tile width. TestAnalyzeSourcesAgree adds the live source.
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
@@ -36,7 +35,6 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 			t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 		}
 		encoded := encodeTrace(t, tr)
-		dopts := ddg.Options{}
 		for _, lm := range mod.Loops {
 			for wi, w := range workerCounts {
 				tile := tileSizes[(int(seed)+wi)%len(tileSizes)]
@@ -44,8 +42,8 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 				oracle := onePass
 				oracle.Materialize = true
 
-				want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts, oracle)
-				got, gotErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts, onePass)
+				want, wantErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, oracle)
+				got, gotErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, onePass)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d loop %d tile %d: oracle err %v, one-pass err %v",
 						seed, lm.Line, tile, wantErr, gotErr)
@@ -56,7 +54,7 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 				}
 
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				sgot, sgotErr := pipeline.AnalyzeLoopRegionsStream(mod, dec, lm.Line, dopts, onePass)
+				sgot, sgotErr := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, lm.Line, onePass)
 				if (wantErr == nil) != (sgotErr == nil) {
 					t.Fatalf("seed %d loop %d tile %d: oracle err %v, streaming one-pass err %v",
 						seed, lm.Line, tile, wantErr, sgotErr)
@@ -64,41 +62,6 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 				if !reflect.DeepEqual(sgot, want) {
 					t.Fatalf("seed %d loop %d tile %d workers %d: streaming one-pass differs from materialized oracle",
 						seed, lm.Line, tile, w)
-				}
-			}
-		}
-	}
-}
-
-// TestAnalyzeLoopRegionsLiveParity: the fully fused live entry (interpreter
-// events straight into the kernels, no trace at any layer) matches
-// trace-then-analyze, on both the one-pass default and the materialized
-// fallback.
-func TestAnalyzeLoopRegionsLiveParity(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		src := generateProgram(seed)
-		mod, err := pipeline.Compile(fmt.Sprintf("live%d.c", seed), src)
-		if err != nil {
-			t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
-		}
-		_, tr, err := pipeline.Trace(mod)
-		if err != nil {
-			t.Fatalf("trace: %v", err)
-		}
-		for _, lm := range mod.Loops {
-			for _, copts := range []core.Options{
-				{Workers: 2},
-				{Workers: 2, Materialize: true},
-			} {
-				want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, ddg.Options{}, copts)
-				_, got, gotErr := pipeline.AnalyzeLoopRegionsLive(mod, lm.Line, ddg.Options{}, copts, core.Budget{})
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d loop %d materialize=%v: trace-first err %v, live err %v",
-						seed, lm.Line, copts.Materialize, wantErr, gotErr)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d loop %d materialize=%v: live reports differ from trace-first\nprogram:\n%s",
-						seed, lm.Line, copts.Materialize, src)
 				}
 			}
 		}
@@ -141,14 +104,14 @@ func TestOnePassFitsWhereMaterializedExceedsBudget(t *testing.T) {
 	budget := core.Budget{MaxAnalysisBytes: 256 << 10}
 
 	oracle := core.Options{Workers: 1, Materialize: true, Budget: budget}
-	_, matErr := pipeline.AnalyzeLoopRegions(tr, budgetDemoLoopLine, ddg.Options{}, oracle)
+	_, matErr := analyzeAll(context.Background(), sliceSource(tr), budgetDemoLoopLine, oracle)
 	if !errors.Is(matErr, core.ErrResourceLimit) {
 		t.Fatalf("materialized path should exceed the %d-byte budget on a %d-event region, got %v",
 			budget.MaxAnalysisBytes, len(tr.Events), matErr)
 	}
 
 	onePass := core.Options{Workers: 1, Budget: budget}
-	regs, opErr := pipeline.AnalyzeLoopRegions(tr, budgetDemoLoopLine, ddg.Options{}, onePass)
+	regs, opErr := analyzeAll(context.Background(), sliceSource(tr), budgetDemoLoopLine, onePass)
 	if opErr != nil {
 		t.Fatalf("one-pass path should fit in the same budget: %v", opErr)
 	}
@@ -191,7 +154,7 @@ void main() {
 	rec := obs.New()
 	ctx := obs.WithRecorder(t.Context(), rec)
 	dec := trace.NewDecoder(bytes.NewReader(encoded))
-	regs, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, dec, loopLine, ddg.Options{}, copts)
+	regs, err := analyzeAll(ctx, pipeline.Source{Module: mod, Events: dec}, loopLine, copts)
 	if err == nil {
 		t.Fatalf("expected the long region to exceed the budget")
 	}
@@ -227,7 +190,7 @@ void main() {
 		t.Fatalf("lifecycle counters started=%d completed=%d failed=%d, want 3/2/1", started, completed, recFailed)
 	}
 	// The in-memory one-pass route degrades identically (same region, same cause).
-	mregs, merr := pipeline.AnalyzeLoopRegions(tr, loopLine, ddg.Options{}, copts)
+	mregs, merr := analyzeAll(context.Background(), sliceSource(tr), loopLine, copts)
 	if !errors.Is(merr, core.ErrResourceLimit) || len(mregs) != 3 {
 		t.Fatalf("in-memory one-pass: err %v over %d regions", merr, len(mregs))
 	}
@@ -251,7 +214,7 @@ func TestOnePassPoolAndFootprintCounters(t *testing.T) {
 	}
 	rec := obs.New()
 	ctx := obs.WithRecorder(t.Context(), rec)
-	if _, err := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 2}); err != nil {
+	if _, err := analyzeAll(ctx, sliceSource(tr), repeatedKernelLoopLine, core.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := rec.Get(obs.StreamPoolHits), rec.Get(obs.StreamPoolMisses)
@@ -291,7 +254,7 @@ func TestOnePassPeakMemoryVsMaterialized(t *testing.T) {
 	const loopLine = 5
 	run := func(copts core.Options) uint64 {
 		return peakLiveBytes(func() {
-			if _, err := pipeline.AnalyzeLoopRegions(tr, loopLine, ddg.Options{}, copts); err != nil {
+			if _, err := analyzeAll(context.Background(), sliceSource(tr), loopLine, copts); err != nil {
 				t.Error(err)
 			}
 		})
@@ -329,7 +292,7 @@ func TestOnePassAllocsSubLinearInRegionLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := pipeline.Record(mod, &buf); err != nil {
+		if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		encoded := buf.Bytes()
@@ -337,7 +300,7 @@ func TestOnePassAllocsSubLinearInRegionLength(t *testing.T) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				if _, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, budgetDemoLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
+				if _, err := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, budgetDemoLoopLine, core.Options{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -371,7 +334,7 @@ func TestPagedShadowAllocsBeatMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.Record(mod, &buf); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	encoded := buf.Bytes()
@@ -380,7 +343,7 @@ func TestPagedShadowAllocsBeatMap(t *testing.T) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				if _, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, budgetDemoLoopLine, ddg.Options{}, copts); err != nil {
+				if _, err := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, budgetDemoLoopLine, copts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,9 +3,10 @@ package pipeline_test
 // Randomized determinism testing of the concurrent analysis scheduler:
 // across ≥50 generated programs, the parallel Analyze must deep-equal the
 // sequential (Workers=1) oracle for every worker count, and region-level
-// fan-out (AnalyzeLoopRegions) must match a hand-rolled sequential sweep.
+// fan-out (Analyze) must match a hand-rolled sequential sweep.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -44,9 +45,9 @@ func TestRandomProgramsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestAnalyzeLoopRegionsMatchesSequential checks the region-level fan-out
-// against the obvious sequential loop over LoopRegion + Build + Analyze.
-func TestAnalyzeLoopRegionsMatchesSequential(t *testing.T) {
+// TestAnalyzeMatchesSequential checks the region-level fan-out against the
+// obvious sequential loop over Trace.Regions + Build + Analyze.
+func TestAnalyzeMatchesSequential(t *testing.T) {
 	// The inner j-loop executes once per outer iteration, giving the outer
 	// dimension's worth of dynamic regions to fan out.
 	src := `
@@ -73,18 +74,16 @@ void main() {
 		t.Fatal(err)
 	}
 	const innerLine = 13 // for (j = 1; ...) keyword line
-	got, err := pipeline.AnalyzeLoopRegions(tr, innerLine, ddg.Options{}, core.Options{Workers: 4})
+	got, err := analyzeAll(context.Background(), sliceSource(tr), innerLine, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 8 {
 		t.Fatalf("expected 8 dynamic regions, got %d", len(got))
 	}
+	regions := tr.Regions(tr.Module.LoopByLine(innerLine).ID)
 	for i := range got {
-		sub, err := pipeline.LoopRegion(tr, innerLine, i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := tr.Slice(regions[i])
 		g, err := ddg.Build(sub)
 		if err != nil {
 			t.Fatal(err)

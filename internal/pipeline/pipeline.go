@@ -1,7 +1,9 @@
 // Package pipeline wires the front end, interpreter, tracer, and analyses
-// into the convenience entry points used by the command-line tools, the
-// examples, and the benchmark harness: compile a MiniC source, execute it
-// under instrumentation, and capture per-loop sub-traces.
+// into the entry points used by the command-line tools, the service, the
+// examples, and the benchmark harness: Compile a MiniC source, then
+// Analyze the dynamic regions of one loop from a Source — the live
+// interpreter or a recorded trace. Run, Trace, and Record cover plain
+// execution, whole-trace capture, and recording to disk.
 package pipeline
 
 import (
@@ -69,31 +71,14 @@ func CompileCtx(ctx context.Context, filename, src string) (*ir.Module, error) {
 }
 
 // Run executes the module's main function without tracing and returns the
-// execution summary (used for plain runs and cycle profiling).
-func Run(mod *ir.Module, countLoops bool) (*interp.Result, error) {
-	return RunCtx(context.Background(), mod, countLoops, core.Budget{})
-}
-
-// RunCtx is Run with cooperative cancellation and the budget's interpreter
-// limits applied; cancellation and exhaustion surface as errors wrapping
-// core.ErrCanceled and core.ErrResourceLimit respectively.
-func RunCtx(ctx context.Context, mod *ir.Module, countLoops bool, budget core.Budget) (*interp.Result, error) {
+// execution summary (used for plain runs and cycle profiling). The budget's
+// interpreter limits apply; cancellation and exhaustion surface as errors
+// wrapping core.ErrCanceled and core.ErrResourceLimit respectively.
+func Run(ctx context.Context, mod *ir.Module, countLoops bool, budget core.Budget) (*interp.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "interp")
 	defer sp.End()
 	m := interp.New(mod, interpConfig(budget, nil, countLoops, false))
 	return m.RunContext(ctx, "main")
-}
-
-// Trace executes the module's main function under full instrumentation and
-// returns both the execution summary and the captured trace.
-func Trace(mod *ir.Module) (*interp.Result, *trace.Trace, error) {
-	return TraceCtx(context.Background(), mod, core.Budget{})
-}
-
-// TraceCtx is Trace with cooperative cancellation and the budget's
-// interpreter limits applied.
-func TraceCtx(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.Result, *trace.Trace, error) {
-	return TraceCtxOpts(ctx, mod, budget, core.Options{})
 }
 
 // sinkPool recycles TraceSinks (and so their event backing arrays) across
@@ -101,17 +86,17 @@ func TraceCtx(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.
 // programs allocates no event storage at all.
 var sinkPool = sync.Pool{New: func() any { return new(interp.TraceSink) }}
 
-// TraceCtxOpts is TraceCtx honoring the analysis options that affect
-// execution: copts.OracleDispatch selects the interpreter's legacy switch
-// loop instead of the precompiled plan. The captured trace is bit-for-bit
-// identical either way.
-func TraceCtxOpts(ctx context.Context, mod *ir.Module, budget core.Budget, copts core.Options) (*interp.Result, *trace.Trace, error) {
+// Trace executes the module's main function under full instrumentation,
+// with the budget's interpreter limits applied, and returns both the
+// execution summary and the whole captured trace. Region analyses do not
+// need it (Analyze streams); the whole-program views do.
+func Trace(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.Result, *trace.Trace, error) {
 	ctx, sp := obs.StartSpan(ctx, "interp")
 	defer sp.End()
 	sink := sinkPool.Get().(*interp.TraceSink)
 	sink.Reset()
 	defer sinkPool.Put(sink)
-	m := interp.New(mod, interpConfig(budget, sink, true, copts.OracleDispatch))
+	m := interp.New(mod, interpConfig(budget, sink, true, false))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, nil, err
@@ -124,13 +109,13 @@ func TraceCtxOpts(ctx context.Context, mod *ir.Module, budget core.Budget, copts
 	return res, tr, nil
 }
 
-// CompileAndTrace is Compile followed by Trace.
+// CompileAndTrace is Compile followed by Trace with no budget.
 func CompileAndTrace(filename, src string) (*ir.Module, *interp.Result, *trace.Trace, error) {
 	mod, err := Compile(filename, src)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, tr, err := Trace(mod)
+	res, tr, err := Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		return mod, nil, nil, err
 	}
@@ -149,9 +134,9 @@ type RegionReport struct {
 	// report missing the failed candidates' rows; Err says which.
 	Report *core.Report
 	// Err is this region's failure, if any: one bad region records its
-	// error here while the remaining regions are still analyzed. The
-	// analysis entry points additionally join every per-region error into
-	// their returned error, so a non-nil summary error is never silent.
+	// error here while the remaining regions are still analyzed. Analyze
+	// additionally joins every per-region error into its returned error,
+	// so a non-nil summary error is never silent.
 	Err error
 	// Elapsed is the wall time this region's DDG construction and analysis
 	// took (set even when the region failed part-way). It is observability
@@ -161,28 +146,38 @@ type RegionReport struct {
 	Elapsed time.Duration
 }
 
-// useOnePass reports whether the region-analysis paths run the default
-// one-pass stream kernel (ingest→analyze fused, no materialized graph) or
-// fall back to building the full per-region ddg.Graph. The fallback covers
-// the cases that genuinely need the whole graph — RelaxReductions
-// re-timestamps with graph-wide reduction cuts, and the negative-TileSize
-// legacy oracle — plus an explicit opts.Materialize request (the
-// differential-testing oracle). Output is byte-identical on both routes.
+// useOnePass reports whether region analysis runs the default one-pass
+// stream kernel (ingest→analyze fused, no materialized graph) or falls back
+// to building the full per-region ddg.Graph. The fallback covers the cases
+// that genuinely need the whole graph — RelaxReductions re-timestamps with
+// graph-wide reduction cuts, and the negative-TileSize legacy oracle — plus
+// an explicit opts.Materialize request (the differential-testing oracle).
+// Output is byte-identical on both routes.
 func useOnePass(copts core.Options) bool {
 	return !copts.Materialize && !copts.RelaxReductions && copts.TileSize >= 0
 }
 
-// analyzeRegionOnePass runs one region's events through a pooled stream
-// kernel: the fused ingest→analyze pass. Cancellation is polled at the
-// scanner's granularity, but only from the second poll window on — regions
-// shorter than the poll interval behave exactly like the materialized
-// AnalyzeCtx, which for a candidate-free region succeeds even on a canceled
-// context.
-func analyzeRegionOnePass(ctx context.Context, mod *ir.Module, events []trace.Event, dopts ddg.Options, copts core.Options, rec *obs.Recorder) (*core.Report, error) {
-	k := core.AcquireStreamKernel(mod, dopts, copts, rec)
+// AnalyzeRegion analyzes one region sub-trace through the default route:
+// the one-pass stream kernel when copts allows it (see useOnePass), the
+// materialized ddg.Graph otherwise. It is the single-region building block
+// behind Analyze and the report package's representative-region sampling;
+// both routes produce byte-identical reports. Cancellation is polled every
+// 4096 events, but only from the second poll window on — regions shorter
+// than that behave exactly like the materialized core.AnalyzeCtx, which for
+// a candidate-free region succeeds even on a canceled context.
+func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
+	if !useOnePass(copts) {
+		g, err := ddg.BuildOpts(sub, dopts)
+		if err != nil {
+			return nil, err
+		}
+		return core.AnalyzeCtx(ctx, g, copts)
+	}
+	rec := obs.FromContext(ctx)
+	k := core.AcquireStreamKernel(sub.Module, dopts, copts, rec)
 	defer k.Release()
 	sw := rec.StartTimer("tile-sweep")
-	for i, ev := range events {
+	for i, ev := range sub.Events {
 		if i%4096 == 4095 {
 			if err := core.Canceled(ctx); err != nil {
 				sw.Stop()
@@ -196,133 +191,4 @@ func analyzeRegionOnePass(ctx context.Context, mod *ir.Module, events []trace.Ev
 	}
 	sw.Stop()
 	return k.Finish(ctx)
-}
-
-// AnalyzeRegion analyzes one region sub-trace through the default route:
-// the one-pass stream kernel when copts allows it (see useOnePass), the
-// materialized ddg.Graph otherwise. It is the single-region building block
-// behind the region fan-outs here and the report package's
-// representative-region sampling; both routes produce byte-identical
-// reports.
-func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
-	if useOnePass(copts) {
-		return analyzeRegionOnePass(ctx, sub.Module, sub.Events, dopts, copts, obs.FromContext(ctx))
-	}
-	g, err := ddg.BuildOpts(sub, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return core.AnalyzeCtx(ctx, g, copts)
-}
-
-// labelRegionErrors attributes ParallelFor unit failures (recovered panics)
-// to their region slots: each recovered *UnitError gains the "region" label
-// and lands in its region's Err field unless a more specific error is
-// already recorded there.
-func labelRegionErrors(err error, out []RegionReport) {
-	for _, ue := range core.UnitErrors(err) {
-		if ue.Kind == "" {
-			ue.Kind = "region"
-			ue.ID = int64(ue.Unit)
-		}
-		if ue.Unit < len(out) && out[ue.Unit].Err == nil {
-			out[ue.Unit].Err = ue
-		}
-	}
-}
-
-// AnalyzeLoopRegions analyzes every dynamic execution (sub-trace region) of
-// the loop whose "for"/"while" keyword is on the given source line. By
-// default each region's events run straight through the one-pass stream
-// kernel (no per-region graph is materialized); the materialized-graph
-// route remains selectable via copts (see useOnePass) and produces
-// byte-identical output. Regions are independent, so their analysis fans
-// out across copts.WorkerCount() workers. Region-level
-// parallelism outranks instruction-level parallelism (regions are the
-// coarser independent unit), so each region's Analyze runs with Workers=1;
-// the remaining copts — including TileSize, so each region's sweep runs
-// through the fused tiled kernel — pass through unchanged. Results land in
-// index-addressed slots, making the output deterministic and identical to
-// a sequential region-by-region run.
-func AnalyzeLoopRegions(tr *trace.Trace, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	return AnalyzeLoopRegionsCtx(context.Background(), tr, line, dopts, copts)
-}
-
-// AnalyzeLoopRegionsCtx is AnalyzeLoopRegions with cooperative cancellation
-// and degrade-gracefully error handling: a region whose DDG construction or
-// analysis fails records its error in its own RegionReport.Err slot while
-// every other region is still analyzed, and the joined per-region errors
-// come back as the summary error. Cancellation stops dispatching further
-// regions and the summary error wraps core.ErrCanceled.
-func AnalyzeLoopRegionsCtx(ctx context.Context, tr *trace.Trace, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	lm := tr.Module.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
-	}
-	regions := tr.Regions(lm.ID)
-	if len(regions) == 0 {
-		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
-	}
-	out := make([]RegionReport, len(regions))
-	inner := copts
-	inner.Workers = 1
-	ctx, span := obs.StartSpan(ctx, "region-analyze")
-	defer span.End()
-	rec := obs.FromContext(ctx)
-	err := core.ParallelFor(ctx, len(regions), copts.WorkerCount(), func(i int) error {
-		if rec != nil {
-			start := time.Now()
-			defer func() { out[i].Elapsed = time.Since(start) }()
-			rec.Add(obs.RegionsStarted, 1)
-		}
-		rt := rec.StartTimer("region")
-		defer rt.Stop()
-		sub := tr.Slice(regions[i])
-		out[i] = RegionReport{Index: i, Events: sub.Len()}
-		fail := func(err error) error {
-			out[i].Err = fmt.Errorf("pipeline: region %d: %w", i, err)
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.RecordRegionFailure(out[i].Err.Error())
-			}
-			return out[i].Err
-		}
-		var rep *core.Report
-		var err error
-		if useOnePass(inner) {
-			rep, err = analyzeRegionOnePass(ctx, tr.Module, sub.Events, dopts, inner, rec)
-		} else {
-			var g *ddg.Graph
-			g, err = ddg.BuildOpts(sub, dopts)
-			if err != nil {
-				return fail(err)
-			}
-			rep, err = core.AnalyzeCtx(ctx, g, inner)
-		}
-		out[i].Report = rep
-		if err != nil {
-			return fail(err)
-		}
-		if rec != nil {
-			rec.Add(obs.RegionsCompleted, 1)
-		}
-		return nil
-	})
-	labelRegionErrors(err, out)
-	return out, err
-}
-
-// LoopRegion returns the idx-th dynamic sub-trace of the source loop whose
-// "for"/"while" keyword is on the given source line. It returns an error if
-// the loop or region does not exist — e.g. when the loop never executed.
-func LoopRegion(tr *trace.Trace, line, idx int) (*trace.Trace, error) {
-	lm := tr.Module.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
-	}
-	regions := tr.Regions(lm.ID)
-	if idx < 0 || idx >= len(regions) {
-		return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", line, len(regions), idx)
-	}
-	return tr.Slice(regions[idx]), nil
 }

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,17 +36,21 @@ void main() {
   for (i = 0; i < 3; i++) { g = g + 1.0; }
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	mod, err := pipeline.Compile("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.LoopRegion(tr, 999, 0); err == nil || !strings.Contains(err.Error(), "no loop on line") {
+	region := func(line, idx int) error {
+		_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{Line: line, Instance: idx})
+		return err
+	}
+	if err := region(999, 0); err == nil || err.Error() != "pipeline: no loop on line 999" {
 		t.Errorf("missing-line error = %v", err)
 	}
-	if _, err := pipeline.LoopRegion(tr, 5, 7); err == nil || !strings.Contains(err.Error(), "dynamic regions") {
+	if err := region(5, 7); err == nil || err.Error() != "pipeline: loop on line 5 has 1 dynamic regions, want index 7" {
 		t.Errorf("bad-instance error = %v", err)
 	}
-	if _, err := pipeline.LoopRegion(tr, 5, 0); err != nil {
+	if err := region(5, 0); err != nil {
 		t.Errorf("valid region: %v", err)
 	}
 }
@@ -93,11 +98,7 @@ void main() {
 			hotLine = n + 1
 		}
 	}
-	region, err := pipeline.LoopRegion(tr, hotLine, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ddg.Build(region)
+	g, err := ddg.Build(tr.Slice(tr.Regions(mod.LoopByLine(hotLine).ID)[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,6 @@ void main() {
 	if rep.UnitVecOpsPct < 90 {
 		t.Fatalf("unit vec ops = %.1f%%, want ~100%% through two call levels", rep.UnitVecOpsPct)
 	}
-	_ = mod
 }
 
 func TestRunMissingMain(t *testing.T) {
@@ -124,7 +124,7 @@ func TestRunMissingMain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.Run(mod, false); err == nil {
+	if _, err := pipeline.Run(context.Background(), mod, false, core.Budget{}); err == nil {
 		t.Fatal("expected missing-main error")
 	}
 }
@@ -141,7 +141,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pipeline.Run(mod, false)
+	_, err = pipeline.Run(context.Background(), mod, false, core.Budget{})
 	if err == nil || !strings.Contains(err.Error(), "invalid address") {
 		t.Fatalf("error = %v, want invalid address", err)
 	}
@@ -160,7 +160,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pipeline.Run(mod, false)
+	_, err = pipeline.Run(context.Background(), mod, false, core.Budget{})
 	if err == nil || !strings.Contains(err.Error(), "invalid address") {
 		t.Fatalf("error = %v, want invalid address", err)
 	}

@@ -8,6 +8,7 @@ package pipeline_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -255,7 +256,7 @@ func TestRandomProgramsOptimizerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := pipeline.Run(mod, false)
+		plain, err := pipeline.Run(context.Background(), mod, false, core.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func TestRandomProgramsOptimizerEquivalence(t *testing.T) {
 		if err := mod2.Verify(); err != nil {
 			t.Fatalf("seed %d: optimized module invalid: %v\n%s", seed, err, src)
 		}
-		optimized, err := pipeline.Run(mod2, false)
+		optimized, err := pipeline.Run(context.Background(), mod2, false, core.Budget{})
 		if err != nil {
 			t.Fatalf("seed %d: optimized run failed: %v", seed, err)
 		}

@@ -8,6 +8,7 @@ package pipeline_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -83,7 +83,7 @@ func benchTraceBytes(b *testing.B, reps int) []byte {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.Record(mod, &buf); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
@@ -103,7 +103,7 @@ func BenchmarkStreamingAnalyze(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := peakLiveBytes(func() {
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
-					if _, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
+					if _, err := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, repeatedKernelLoopLine, core.Options{Workers: 1}); err != nil {
 						b.Fatal(err)
 					}
 				})
@@ -134,7 +134,7 @@ func BenchmarkInMemoryAnalyze(b *testing.B) {
 						b.Fatal(err)
 					}
 					tr := &trace.Trace{Module: mod, Events: events}
-					if _, err := pipeline.AnalyzeLoopRegions(tr, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
+					if _, err := analyzeAll(context.Background(), sliceSource(tr), repeatedKernelLoopLine, core.Options{Workers: 1}); err != nil {
 						b.Fatal(err)
 					}
 				})

@@ -1,20 +1,20 @@
 package pipeline_test
 
-// Streaming-vs-in-memory equivalence: the bounded-memory path through
-// RegionScanner/AnalyzeLoopRegionsStream must produce byte-identical
-// reports to the resident-slice path, for arbitrary generated programs,
-// every loop, and every worker count — and, since per-region analysis runs
-// through the fused tiled kernel, across tile widths (including the legacy
-// per-candidate oracle, TileSize < 0, which both paths must also match).
+// Streaming-vs-in-memory equivalence: Analyze over a decoded VTR1 stream
+// must produce byte-identical reports to Analyze over the resident slice,
+// for arbitrary generated programs, every loop, and every worker count —
+// and, since per-region analysis runs through the fused tiled kernel,
+// across tile widths (including the legacy per-candidate oracle,
+// TileSize < 0, which both paths must also match).
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -45,14 +45,12 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 			}
 			encoded := encodeTrace(t, tr)
-			dopts := ddg.Options{}
 			for _, lm := range mod.Loops {
 				// Region-level oracle: the sequential per-candidate kernel.
-				oracle, oracleErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts,
-					core.Options{Workers: 1, TileSize: -1})
+				oracle, oracleErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, core.Options{Workers: 1, TileSize: -1})
 				for wi, w := range workerCounts {
 					copts := core.Options{Workers: w, TileSize: tileSizes[(int(seed)+wi)%len(tileSizes)]}
-					want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts, copts)
+					want, wantErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, copts)
 					if (wantErr == nil) != (oracleErr == nil) {
 						t.Fatalf("loop line %d tile %d: oracle err %v, fused err %v",
 							lm.Line, copts.TileSize, oracleErr, wantErr)
@@ -62,7 +60,7 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 							lm.Line, copts.TileSize, w)
 					}
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
-					got, gotErr := pipeline.AnalyzeLoopRegionsStream(mod, dec, lm.Line, dopts, copts)
+					got, gotErr := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, lm.Line, copts)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("loop line %d workers %d: in-memory err %v, streaming err %v",
 							lm.Line, w, wantErr, gotErr)
@@ -97,8 +95,9 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestLoopRegionStreamMatches: the single-region streaming lookup agrees
-// with the in-memory one, including error text for out-of-range indices.
+// TestLoopRegionStreamMatches: a single-region request over a decoded
+// stream agrees with the same request over the resident slice, including
+// the error text for out-of-range indices.
 func TestLoopRegionStreamMatches(t *testing.T) {
 	src := generateProgram(42)
 	mod, _, tr, err := pipeline.CompileAndTrace("s.c", src)
@@ -108,9 +107,10 @@ func TestLoopRegionStreamMatches(t *testing.T) {
 	encoded := encodeTrace(t, tr)
 	for _, lm := range mod.Loops {
 		for idx := 0; idx < 4; idx++ {
-			want, wantErr := pipeline.LoopRegion(tr, lm.Line, idx)
+			spec := pipeline.Spec{Line: lm.Line, Instance: idx}
+			want, wantErr := pipeline.Analyze(context.Background(), sliceSource(tr), spec)
 			dec := trace.NewDecoder(bytes.NewReader(encoded))
-			got, gotErr := pipeline.LoopRegionStream(mod, dec, lm.Line, idx)
+			got, gotErr := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Events: dec}, spec)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("loop line %d idx %d: in-memory err %v, streaming err %v",
 					lm.Line, idx, wantErr, gotErr)
@@ -122,8 +122,8 @@ func TestLoopRegionStreamMatches(t *testing.T) {
 				}
 				continue
 			}
-			if !reflect.DeepEqual(got.Events, want.Events) {
-				t.Fatalf("loop line %d idx %d: region events differ", lm.Line, idx)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("loop line %d idx %d: region reports differ", lm.Line, idx)
 			}
 		}
 	}
@@ -169,9 +169,9 @@ void main() {
 	}
 	encoded := encodeTrace(t, tr)
 	for _, lm := range mod.Loops {
-		want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, ddg.Options{}, core.Options{Workers: 4})
+		want, wantErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, core.Options{Workers: 4})
 		dec := trace.NewDecoder(bytes.NewReader(encoded))
-		got, gotErr := pipeline.AnalyzeLoopRegionsStream(mod, dec, lm.Line, ddg.Options{}, core.Options{Workers: 4})
+		got, gotErr := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, lm.Line, core.Options{Workers: 4})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("loop line %d: errors differ: %v vs %v", lm.Line, wantErr, gotErr)
 		}

@@ -1,6 +1,8 @@
 package profile_test
 
 import (
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"testing"
 
 	"github.com/example/vectrace/internal/interp"
@@ -17,7 +19,7 @@ func buildProfile(t *testing.T, src string) (*ir.Module, *interp.Result, *profil
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Run(mod, true)
+	res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func TestSpecHotLoopsAreHot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := pipeline.Run(mod, true)
+		res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}

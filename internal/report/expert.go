@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -152,7 +153,7 @@ func RankKernel(filename, src string, threshold float64) ([]Opportunity, error) 
 	if err != nil {
 		return nil, err
 	}
-	res, tr, err := pipeline.Trace(mod)
+	res, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
@@ -54,10 +53,10 @@ func TestGoldenTraceFormatParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var f1, f2 bytes.Buffer
-		if _, err := pipeline.Record(mod, &f1); err != nil {
+		if _, err := pipeline.Record(context.Background(), mod, &f1, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipeline.RecordContainer(mod, &f2, trace.ContainerOptions{BlockBytes: 512, Codec: "flate"}); err != nil {
+		if _, err := pipeline.Record(context.Background(), mod, &f2, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{BlockBytes: 512, Codec: "flate"}); err != nil {
 			t.Fatal(err)
 		}
 		evs1, err := trace.ReadAll(trace.NewDecoder(bytes.NewReader(f1.Bytes())))
@@ -112,10 +111,10 @@ func TestGoldenInstanceSeek(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f1, f2 bytes.Buffer
-	if _, err := pipeline.Record(mod, &f1); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &f1, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.RecordContainer(mod, &f2, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &f2, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{BlockBytes: 256, Codec: "flate"}); err != nil {
 		t.Fatal(err)
 	}
 	const instance = 2
@@ -127,23 +126,17 @@ func TestGoldenInstanceSeek(t *testing.T) {
 	if o.Container == nil {
 		t.Fatalf("vtr2 file opened without an index: %v", o.IndexErr)
 	}
-	seek, err := pipeline.LoopRegionOpened(o, mod, line, instance)
+	spec := pipeline.Spec{Line: line, Instance: instance}
+	seek, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := pipeline.LoopRegionStream(mod, trace.NewDecoder(bytes.NewReader(f1.Bytes())), line, instance)
+	scan, err := pipeline.Analyze(context.Background(),
+		pipeline.Source{Module: mod, Events: trace.NewDecoder(bytes.NewReader(f1.Bytes()))}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	repSeek, err := pipeline.AnalyzeRegion(context.Background(), seek, ddg.Options{}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repScan, err := pipeline.AnalyzeRegion(context.Background(), scan, ddg.Options{}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repSeek, repScan := seek[0].Report, scan[0].Report
 	if repSeek.String() != repScan.String() {
 		t.Errorf("indexed seek and sequential scan render different reports:\nseek:\n%s\nscan:\n%s",
 			repSeek.String(), repScan.String())

@@ -89,7 +89,7 @@ func analyzeKernelLoop(ctx context.Context, k kernels.Kernel, marker string, opt
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
-	res, tr, err := pipeline.TraceCtxOpts(ctx, mod, core.Budget{}, opts)
+	res, tr, err := pipeline.Trace(ctx, mod, core.Budget{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
@@ -331,7 +331,7 @@ func runCase(ctx context.Context, k kernels.Kernel) (*caseRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := pipeline.RunCtx(ctx, mod, true, core.Budget{})
+	res, err := pipeline.Run(ctx, mod, true, core.Budget{})
 	if err != nil {
 		return nil, err
 	}

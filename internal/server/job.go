@@ -24,6 +24,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -258,11 +259,12 @@ func (j *Job) setRunning() bool {
 }
 
 // finish transitions to a terminal state exactly once, recording the
-// result. Returns false if the job was already terminal.
+// result. Returns false if the job was already terminal; when it returns
+// true the caller must call wake.
 func (j *Job) finish(state string, reportJS []byte, err error) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if terminal(j.state) {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
@@ -271,10 +273,16 @@ func (j *Job) finish(state string, reportJS []byte, err error) bool {
 	if !j.started.IsZero() {
 		j.elapsed = time.Since(j.started)
 	}
-	j.mu.Unlock()
-	j.cancel(nil) // release the job context's resources
-	close(j.done)
 	return true
+}
+
+// wake completes a finish that made the transition: it releases the job
+// context's resources and wakes Done's waiters. Callers record the job's
+// terminal accounting (counters, trace, flight, logs) between finish and
+// wake, so whoever Done wakes sees all of it.
+func (j *Job) wake() {
+	j.cancel(nil)
+	close(j.done)
 }
 
 // CancelRequest implements client- and drain-initiated cancellation: a
@@ -337,15 +345,24 @@ func (j *Job) run(ctx context.Context, ceil core.Budget) ([]byte, error) {
 	case KindTable:
 		return report.TableJSON(ctx, j.Spec.Table, copts)
 	default: // KindAnalyze; spec validated at admission
-		var regs []pipeline.RegionReport
-		var err error
-		if len(j.payload) > 0 {
-			regs, err = pipeline.AnalyzeTraceBytesCtx(ctx, j.Spec.Filename, j.source, j.payload,
-				j.Spec.Line, j.Spec.Instance, dopts, copts, j.Spec.ScanWorkers)
-		} else {
-			regs, err = pipeline.AnalyzeSourceCtx(ctx, j.Spec.Filename, j.source,
-				j.Spec.Line, j.Spec.Instance, dopts, copts, b)
+		mod, err := pipeline.CompileCtx(ctx, j.Spec.Filename, j.source)
+		if err != nil {
+			return nil, err
 		}
+		src := pipeline.Source{Module: mod, Budget: b}
+		if len(j.payload) > 0 {
+			// An uploaded trace is format-sniffed exactly like a trace file:
+			// a verified VTR2 footer enables indexed seeks and parallel
+			// scanning, damaged or VTR1 payloads take the sequential path.
+			rec := obs.FromContext(ctx)
+			rec.Set(obs.TraceBytesTotal, int64(len(j.payload)))
+			if src.Trace, err = trace.OpenTrace(bytes.NewReader(j.payload), int64(len(j.payload)), rec); err != nil {
+				return nil, err
+			}
+		}
+		regs, err := pipeline.Analyze(ctx, src, pipeline.Spec{
+			Line: j.Spec.Line, Instance: j.Spec.Instance, DDG: dopts, Core: copts, ScanWorkers: j.Spec.ScanWorkers,
+		})
 		if len(regs) == 0 {
 			return nil, err
 		}

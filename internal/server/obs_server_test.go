@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,7 +177,7 @@ func TestObservabilityByteIdentity(t *testing.T) {
 
 	// Everything on: recorder, NDJSON logger, flight ring, and a caller
 	// traceparent on the submission.
-	var logs bytes.Buffer
+	var logs lockedBuffer
 	logger, err := obs.NewLogger(&logs, "json", "debug")
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func TestObservabilityByteIdentity(t *testing.T) {
 // footprint — flight events, structured lifecycle logs carrying the trace
 // id, server-side job/stage histograms, and a lintable /metrics.
 func TestLifecycleObservability(t *testing.T) {
-	var logs bytes.Buffer
+	var logs lockedBuffer
 	logger, err := obs.NewLogger(&logs, "json", "info")
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +314,7 @@ func TestLifecycleObservability(t *testing.T) {
 // TestRejectFlightEvent: an overload rejection leaves a flight event and a
 // sampled warning, so postmortems see the shed load, not just the served.
 func TestRejectFlightEvent(t *testing.T) {
-	var logs bytes.Buffer
+	var logs lockedBuffer
 	logger, err := obs.NewLogger(&logs, "json", "warn")
 	if err != nil {
 		t.Fatal(err)
@@ -355,4 +356,29 @@ func TestRejectFlightEvent(t *testing.T) {
 	}
 	close(gate)
 	fetchReport(t, ts, id)
+}
+
+// lockedBuffer collects log records that server goroutines (workers, HTTP
+// handlers) may still be writing while the test reads them.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Len()
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }

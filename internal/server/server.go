@@ -172,8 +172,11 @@ func (s *Server) submitReserved(spec JobSpec, source string, payload []byte, tra
 		// Drain closed the intake between reservation and enqueue.
 		s.rec.GaugeDec(obs.QueueDepth)
 		s.rec.Add(obs.JobsRejected, 1)
-		j.finish(StateCancelled, nil, err)
+		finished := j.finish(StateCancelled, nil, err)
 		s.flight.Record("reject", j.ID, j.TraceID(), "draining")
+		if finished {
+			j.wake()
+		}
 		return nil, err
 	}
 	s.rec.Add(obs.JobsAdmitted, 1)
@@ -393,7 +396,8 @@ func (s *Server) runJob(j *Job) {
 			state = StateFailed
 		}
 	}
-	if j.finish(state, report, err) {
+	finished := j.finish(state, report, err)
+	if finished {
 		switch state {
 		case StateDone:
 			s.rec.Add(obs.JobsCompleted, 1)
@@ -433,6 +437,9 @@ func (s *Server) runJob(j *Job) {
 		"job", j.ID, "trace_id", j.TraceID(), "state", state,
 		"cache_hit", hit, "wait_ms", wait.Milliseconds(), "run_ms", dur.Milliseconds(),
 		"error", detail)
+	if finished {
+		j.wake()
+	}
 }
 
 // flightKind maps a terminal state to its flight-event kind.

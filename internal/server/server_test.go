@@ -52,9 +52,14 @@ const sampleLine = 11
 // encoder, no server involved.
 func expectedRegionsJSON(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	regs, err := pipeline.AnalyzeSourceCtx(context.Background(), spec.Filename, sampleProgram,
-		spec.Line, spec.Instance, ddg.Options{CharacterizeInts: spec.IntOps},
-		core.Options{RelaxReductions: spec.RelaxReductions}, core.Budget{})
+	mod, err := pipeline.Compile(spec.Filename, sampleProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{
+		Line: spec.Line, Instance: spec.Instance, DDG: ddg.Options{CharacterizeInts: spec.IntOps},
+		Core: core.Options{RelaxReductions: spec.RelaxReductions},
+	})
 	if err != nil {
 		t.Fatalf("direct analysis: %v", err)
 	}
@@ -255,10 +260,10 @@ func TestTraceUploadDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var vtr1, vtr2 bytes.Buffer
-	if _, err := pipeline.RecordCtx(ctx, mod, &vtr1, core.Budget{}); err != nil {
+	if _, err := pipeline.Record(ctx, mod, &vtr1, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.RecordContainerCtx(ctx, mod, &vtr2, core.Budget{}, trace.ContainerOptions{}); err != nil {
+	if _, err := pipeline.Record(ctx, mod, &vtr2, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,8 +273,14 @@ func TestTraceUploadDifferential(t *testing.T) {
 
 	for name, payload := range map[string][]byte{"vtr1": vtr1.Bytes(), "vtr2": vtr2.Bytes()} {
 		spec := JobSpec{Line: sampleLine, Instance: -1}
-		regs, err := pipeline.AnalyzeTraceBytesCtx(ctx, "prog.c", sampleProgram, payload,
-			sampleLine, -1, ddg.Options{}, core.Options{}, 0)
+		o, err := trace.OpenTrace(bytes.NewReader(payload), int64(len(payload)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (o.Container != nil) != (name == "vtr2") {
+			t.Fatalf("%s: footer index parsed = %v", name, o.Container != nil)
+		}
+		regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod, Trace: o}, pipeline.Spec{Line: sampleLine, Instance: -1})
 		if err != nil {
 			t.Fatalf("%s: direct: %v", name, err)
 		}
@@ -297,7 +308,7 @@ func TestCorruptTraceUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.RecordContainerCtx(ctx, mod, &buf, core.Budget{}, trace.ContainerOptions{}); err != nil {
+	if _, err := pipeline.Record(ctx, mod, &buf, core.Budget{}, trace.FormatVTR2, trace.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()/2]
@@ -864,5 +875,26 @@ func TestJobDeadlineCause(t *testing.T) {
 	doc := j.status(false)
 	if !strings.Contains(doc.Cause, "job deadline") || strings.Contains(doc.Cause, "server job deadline") {
 		t.Fatalf("cause = %q, want the job deadline (not the server ceiling)", doc.Cause)
+	}
+}
+
+// TestSingleInstanceFailureNotCached: a single-instance job whose region
+// fails its analysis carries the failure alongside its report, so the
+// cache refuses it and a resubmission recomputes.
+func TestSingleInstanceFailureNotCached(t *testing.T) {
+	s := newTestServer(t, Config{Queue: 2, Workers: 1, CacheEntries: 8})
+	spec := JobSpec{Line: sampleLine, Instance: 0, MaxAnalysisBytes: 256}
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(spec, sampleProgram, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if kind := j.status(false).ErrorKind; kind != "resource_limit" {
+			t.Fatalf("submission %d: error kind = %q, want resource_limit", i, kind)
+		}
+	}
+	if hits := s.rec.Get(obs.CacheHits); hits != 0 {
+		t.Fatalf("cache_hits = %d, want 0: a failed region's report was cached", hits)
 	}
 }

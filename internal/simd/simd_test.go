@@ -1,6 +1,8 @@
 package simd_test
 
 import (
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"testing"
 
 	"github.com/example/vectrace/internal/pipeline"
@@ -45,7 +47,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Run(mod, true)
+	res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Run(mod, true)
+	res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Run(mod, true)
+	res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package staticvec_test
 
 import (
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"math"
 	"strings"
 	"testing"
@@ -41,7 +43,7 @@ func verdictAt(t *testing.T, mod *ir.Module, k kernels.Kernel, marker string) st
 func run(t *testing.T, k kernels.Kernel) *interp.Result {
 	t.Helper()
 	mod := compile(t, k)
-	res, err := pipeline.Run(mod, true)
+	res, err := pipeline.Run(context.Background(), mod, true, core.Budget{})
 	if err != nil {
 		t.Fatalf("run %s: %v", k.Name, err)
 	}

@@ -113,7 +113,7 @@ func codecName(c byte) string {
 // the event range [Start, End) of one execution of loop LoopID, marker
 // events excluded — exactly the ranges Trace.Regions computes — plus the
 // call depth at loop entry. Entries are stored in global close order, so
-// filtering by loop yields regions in the order the sequential scanner
+// filtering by loop yields regions in the order the sequential region feed
 // emits them, and a region's position in the filtered slice is the index
 // RegionReport carries.
 type IndexRegion struct {
@@ -214,14 +214,14 @@ func (b blockMeta) storedWord() uint64 {
 
 // A ContainerWriter streams events into the VTR2 container format. Unlike
 // the VTR1 Encoder it needs the module: region boundaries are tracked as
-// events arrive (the same state machine the sequential scanner replays) so
+// events arrive (the same state machine the sequential region feed replays) so
 // the footer can map any loop region to its block range without re-reading
 // the stream. Memory is bounded by one uncompressed block plus the index —
 // O(block size + blocks + regions) — independent of the trace length.
 type ContainerWriter struct {
-	bw   *bufio.Writer
-	mod  *ir.Module
-	tk   allTracker
+	bw         *bufio.Writer
+	mod        *ir.Module
+	tk         allTracker
 	blockBytes int
 	codec      byte
 

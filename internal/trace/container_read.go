@@ -477,7 +477,7 @@ func (cu *Cursor) EventRange(dst []Event, start, end int) ([]Event, error) {
 // the index-seek primitive behind `analyze -instance K` and the parallel
 // scanner. Only the blocks covering [r.Start, r.End) are decoded, which is
 // what the blocks-read counter observes. Event IDs are validated against
-// the module, mirroring the sequential scanner's check.
+// the module, mirroring the sequential region feed's check.
 func (cu *Cursor) RegionTrace(mod *ir.Module, r IndexRegion) (*Trace, error) {
 	events, err := cu.EventRange(nil, r.Start, r.End)
 	if err != nil {
@@ -619,7 +619,7 @@ func (s *BlockSource) Next() (Event, error) {
 // ScanIndexedRegions decodes the indexed regions of loop loopID across
 // workers goroutines, calling handle(k, r, sub, err) once per region — k is
 // the region's close-order index within the loop (the same numbering the
-// sequential scanner reports), sub the materialized sub-trace (nil when
+// sequential region feed reports), sub the materialized sub-trace (nil when
 // decoding its blocks failed). handle runs concurrently on worker
 // goroutines; callers writing to index-addressed slots need no further
 // synchronization. Workers claim contiguous chunks of regions rather than

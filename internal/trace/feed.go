@@ -1,14 +1,12 @@
 package trace
 
-// The push-side counterpart of RegionScanner: RegionFeed routes a trace
-// event stream into per-region sinks without buffering region events. Where
-// the scanner materializes each closed region as a sub-trace (retaining its
-// events while open), the feed hands every event to the sink of each open
+// RegionFeed routes a trace event stream into per-region sinks without
+// buffering region events: it hands every event to the sink of each open
 // target region the moment it arrives — the surface the one-pass analysis
 // kernel consumes, and the reason its peak memory is independent of region
 // length. Region-boundary semantics (call-stack-aware closing, nesting,
 // marker exclusion) are the shared regionTracker's, so the feed yields
-// regions in exactly the scanner's order.
+// regions in exactly Trace.Regions' order.
 
 import (
 	"context"
@@ -65,8 +63,8 @@ type RegionFeed struct {
 
 // NewRegionFeed returns a feed dispatching the dynamic regions of the given
 // source loop to sinks from factory, validating events against mod. The
-// context is polled at the scanner's granularity (every scanCtxCheckInterval
-// events); on cancellation open sinks are aborted.
+// context is polled every scanCtxCheckInterval events; on cancellation open
+// sinks are aborted.
 func NewRegionFeed(ctx context.Context, mod *ir.Module, loopID int, factory SinkFactory) *RegionFeed {
 	if ctx == nil {
 		ctx = context.Background()
@@ -90,8 +88,10 @@ func (f *RegionFeed) abortOpen() {
 	f.open = f.open[:0]
 }
 
-// failAt latches a scan error with the scanner's region/event context and
-// aborts open sinks.
+// failAt latches a scan error, naming the index of the region being formed
+// and the event where the stream went bad — so a corrupt-trace report
+// localizes the damage in the region sequence as well as in the byte
+// stream (the decoder's offset context) — and aborts open sinks.
 func (f *RegionFeed) failAt(err error) error {
 	f.err = fmt.Errorf("trace: scanning region %d (event %d): %w", f.closed, f.idx, err)
 	f.abortOpen()
@@ -172,7 +172,7 @@ func (f *RegionFeed) Push(ev Event) error {
 }
 
 // Finish closes the stream: every still-open region closes at the current
-// index (early-return semantics, matching the scanner), in LIFO order.
+// index (early-return semantics, matching Trace.Regions), in LIFO order.
 // It returns the total number of regions dispatched.
 func (f *RegionFeed) Finish() (int, error) {
 	if f.err != nil {
@@ -195,8 +195,8 @@ func (f *RegionFeed) Fail(err error) error {
 	return f.failAt(err)
 }
 
-// FeedRegions drains src through a RegionFeed: the pull-driver shape the
-// pipeline uses when the events come from a decoder rather than a live
+// FeedRegions drains src through a RegionFeed: the driver the pipeline uses
+// when the events come from a decoder or a slice rather than a live
 // interpreter. Returns the number of regions dispatched and the first
 // error (source failure, corrupt event, or cancellation).
 func FeedRegions(ctx context.Context, mod *ir.Module, loopID int, src EventSource, factory SinkFactory) (int, error) {

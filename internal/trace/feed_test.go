@@ -1,13 +1,16 @@
 package trace_test
 
-// Differential tests of the push-based RegionFeed against the pull-based
-// RegionScanner: same programs, same loops, same regions in the same close
-// order with the same events — the feed just never buffers them itself.
+// Differential tests of the push-based RegionFeed against the in-memory
+// region scan, Trace.Regions: same programs, same loops, same regions in the
+// same close order with the same events — from a slice and through a full
+// encode/decode cycle — while the feed never buffers them itself.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"github.com/example/vectrace/internal/trace"
@@ -89,36 +92,52 @@ void main() {
 	for name, src := range programs {
 		t.Run(name, func(t *testing.T) {
 			tr := traceFor(t, src)
+			var buf bytes.Buffer
+			if err := trace.Encode(&buf, tr.Events); err != nil {
+				t.Fatal(err)
+			}
 			for _, lm := range tr.Module.Loops {
 				want := tr.Regions(lm.ID)
-				sinks, n, err := feedAll(context.Background(), tr, lm.ID, &trace.SliceSource{Events: tr.Events})
-				if err != nil {
-					t.Fatalf("loop %d: FeedRegions: %v", lm.ID, err)
-				}
-				if n != len(want) || len(sinks) != len(want) {
-					t.Fatalf("loop %d: feed dispatched %d regions over %d sinks, Regions found %d",
-						lm.ID, n, len(sinks), len(want))
-				}
-				// Sinks open in loop-entry order; indices are assigned in
-				// close order. Check each sink's events against the region
-				// that closed with its index.
-				for _, s := range sinks {
-					if !s.closed || s.aborted {
-						t.Fatalf("loop %d: sink not cleanly closed: %+v", lm.ID, s)
+				for _, source := range []string{"slice", "decoder"} {
+					var src trace.EventSource = &trace.SliceSource{Events: tr.Events}
+					if source == "decoder" {
+						src = trace.NewDecoder(bytes.NewReader(buf.Bytes()))
 					}
-					ref := tr.RegionEvents(want[s.index])
-					if len(s.events) != len(ref) {
-						t.Fatalf("loop %d region %d: %d events, want %d", lm.ID, s.index, len(s.events), len(ref))
-					}
-					for j := range ref {
-						if s.events[j] != ref[j] {
-							t.Fatalf("loop %d region %d event %d = %+v, want %+v",
-								lm.ID, s.index, j, s.events[j], ref[j])
-						}
-					}
+					checkFeed(t, tr, lm.ID, want, src)
 				}
 			}
 		})
+	}
+}
+
+// checkFeed asserts FeedRegions over src dispatches exactly the regions
+// want holds, each sink cleanly closed with its region's events.
+func checkFeed(t *testing.T, tr *trace.Trace, loopID int, want []trace.Region, src trace.EventSource) {
+	t.Helper()
+	sinks, n, err := feedAll(context.Background(), tr, loopID, src)
+	if err != nil {
+		t.Fatalf("loop %d: FeedRegions: %v", loopID, err)
+	}
+	if n != len(want) || len(sinks) != len(want) {
+		t.Fatalf("loop %d: feed dispatched %d regions over %d sinks, Regions found %d",
+			loopID, n, len(sinks), len(want))
+	}
+	// Sinks open in loop-entry order; indices are assigned in close order.
+	// Check each sink's events against the region that closed with its
+	// index.
+	for _, s := range sinks {
+		if !s.closed || s.aborted {
+			t.Fatalf("loop %d: sink not cleanly closed: %+v", loopID, s)
+		}
+		ref := tr.RegionEvents(want[s.index])
+		if len(s.events) != len(ref) {
+			t.Fatalf("loop %d region %d: %d events, want %d", loopID, s.index, len(s.events), len(ref))
+		}
+		for j := range ref {
+			if s.events[j] != ref[j] {
+				t.Fatalf("loop %d region %d event %d = %+v, want %+v", loopID, s.index, j, s.events[j], ref[j])
+			}
+		}
 	}
 }
 
@@ -147,8 +166,8 @@ void main() {
 	}
 	bad := append(append([]trace.Event{}, tr.Events[:begin+3]...), trace.Event{ID: int32(tr.Module.NumInstrs) + 7})
 	sinks, _, err := feedAll(context.Background(), tr, loopID, &trace.SliceSource{Events: bad})
-	if !errors.Is(err, trace.ErrCorruptTrace) {
-		t.Fatalf("error %v does not wrap ErrCorruptTrace", err)
+	if !errors.Is(err, trace.ErrCorruptTrace) || !strings.Contains(err.Error(), "not in module") {
+		t.Fatalf("error %v does not wrap ErrCorruptTrace naming the foreign ID", err)
 	}
 	if len(sinks) != 1 || !sinks[0].aborted || sinks[0].closed {
 		t.Fatalf("open sink not aborted: %+v", sinks)

@@ -2,7 +2,9 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"github.com/example/vectrace/internal/core"
 	"io"
 	"strings"
 	"testing"
@@ -77,9 +79,9 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// fuzzScannerSrc is the program behind FuzzRegionScanner's seed corpus: an
+// fuzzFeedSrc is the program behind FuzzFeedRegions' seed corpus: an
 // inner loop on line 7 that executes three dynamic regions.
-const fuzzScannerSrc = `
+const fuzzFeedSrc = `
 double a[16];
 double s;
 void main() {
@@ -94,14 +96,14 @@ void main() {
 }
 `
 
-// FuzzRegionScanner drives arbitrary bytes through the streaming decoder and
-// the region scanner. The scanner must never panic or hang: every input
-// either scans to clean io.EOF — in which case it must agree with the
-// in-memory Trace.Regions path — or fails with a typed error wrapping
-// ErrCorruptTrace (a bytes.Reader cannot produce genuine I/O errors, so
-// corruption is the only legitimate failure here).
-func FuzzRegionScanner(f *testing.F) {
-	mod, err := pipeline.Compile("fuzz.c", fuzzScannerSrc)
+// FuzzFeedRegions drives arbitrary bytes through the streaming decoder and
+// FeedRegions. The feed must never panic or hang: every input either feeds
+// to clean io.EOF — in which case it must agree with the in-memory
+// Trace.Regions path — or fails with a typed error wrapping ErrCorruptTrace
+// (a bytes.Reader cannot produce genuine I/O errors, so corruption is the
+// only legitimate failure here).
+func FuzzFeedRegions(f *testing.F) {
+	mod, err := pipeline.Compile("fuzz.c", fuzzFeedSrc)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func FuzzRegionScanner(f *testing.F) {
 		f.Fatal("fuzz program has no loop on line 7")
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.Record(mod, &buf); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{}); err != nil {
 		f.Fatal(err)
 	}
 	recorded := buf.Bytes()
@@ -134,25 +136,29 @@ func FuzzRegionScanner(f *testing.F) {
 	f.Add(fuzzSeed([]trace.Event{{ID: 1 << 29, Addr: trace.NoAddr}})) // out-of-module ID
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := trace.NewRegionScanner(mod, loop.ID, trace.NewDecoder(bytes.NewReader(data)))
-		regions := 0
-		for {
-			sub, err := sc.Next()
-			if err == io.EOF {
-				break
+		var sinks []*recSink
+		regions, err := trace.FeedRegions(context.Background(), mod, loop.ID, trace.NewDecoder(bytes.NewReader(data)), func() trace.RegionSink {
+			if len(sinks) > 1<<16 {
+				t.Fatalf("runaway feed: %d regions from %d bytes", len(sinks), len(data))
 			}
-			if err != nil {
-				if !errors.Is(err, trace.ErrCorruptTrace) {
-					t.Fatalf("scanner error %v does not wrap ErrCorruptTrace", err)
+			s := &recSink{index: -1}
+			sinks = append(sinks, s)
+			return s
+		})
+		if err != nil {
+			if !errors.Is(err, trace.ErrCorruptTrace) {
+				t.Fatalf("feed error %v does not wrap ErrCorruptTrace", err)
+			}
+			for _, s := range sinks {
+				if s.closed == s.aborted {
+					t.Fatalf("sink neither closed nor aborted exactly once after a failed feed: %+v", s)
 				}
-				return
 			}
-			if sub == nil || sub.Module != mod {
-				t.Fatal("scanner yielded a region without the source module")
-			}
-			regions++
-			if regions > 1<<16 {
-				t.Fatalf("runaway scan: %d regions from %d bytes", regions, len(data))
+			return
+		}
+		for _, s := range sinks {
+			if !s.closed || s.aborted {
+				t.Fatalf("sink not cleanly closed after a clean feed: %+v", s)
 			}
 		}
 		// Clean EOF means every event decoded and was module-valid, so the
@@ -164,11 +170,11 @@ func FuzzRegionScanner(f *testing.F) {
 			if strings.Contains(err.Error(), "trailing data") {
 				return
 			}
-			t.Fatalf("scanner accepted a stream the one-shot decoder rejects: %v", err)
+			t.Fatalf("feed accepted a stream the one-shot decoder rejects: %v", err)
 		}
 		tr := &trace.Trace{Module: mod, Events: events}
 		if want := len(tr.Regions(loop.ID)); want != regions {
-			t.Fatalf("scanner found %d regions, in-memory path %d", regions, want)
+			t.Fatalf("feed found %d regions, in-memory path %d", regions, want)
 		}
 	})
 }

@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"github.com/example/vectrace/internal/core"
 	"io"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 // corpora, recording them through a real module so the writer's region
 // tracker runs too.
 func fuzzContainerSeed(events []trace.Event, opts trace.ContainerOptions) []byte {
-	mod, err := pipeline.Compile("fuzz.c", fuzzScannerSrc)
+	mod, err := pipeline.Compile("fuzz.c", fuzzFeedSrc)
 	if err != nil {
 		panic(err)
 	}
@@ -27,15 +29,15 @@ func fuzzContainerSeed(events []trace.Event, opts trace.ContainerOptions) []byte
 	return buf.Bytes()
 }
 
-// fuzzContainerBytes records fuzzScannerSrc straight into a container.
+// fuzzContainerBytes records fuzzFeedSrc straight into a container.
 func fuzzContainerBytes(tb testing.TB, opts trace.ContainerOptions) []byte {
 	tb.Helper()
-	mod, err := pipeline.Compile("fuzz.c", fuzzScannerSrc)
+	mod, err := pipeline.Compile("fuzz.c", fuzzFeedSrc)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pipeline.RecordContainer(mod, &buf, opts); err != nil {
+	if _, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR2, opts); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

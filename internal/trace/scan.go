@@ -1,13 +1,6 @@
 package trace
 
-import (
-	"context"
-	"fmt"
-	"io"
-
-	"github.com/example/vectrace/internal/ir"
-	"github.com/example/vectrace/internal/obs"
-)
+import "io"
 
 // An EventSource yields trace events one at a time. Next returns io.EOF
 // after the final event. *Decoder is the canonical streaming source; a
@@ -32,177 +25,7 @@ func (s *SliceSource) Next() (Event, error) {
 	return ev, nil
 }
 
-// A RegionScanner consumes an event stream and yields the dynamic regions
-// of one source loop, one materialized sub-trace at a time, in the order
-// the regions close — exactly the semantics of Trace.Regions, including
-// call-stack-aware closing on early returns.
-//
-// The scanner retains events only while a target-loop region is open, so
-// peak memory is bounded by the largest single region (plus nested marker
-// events), not by the trace length. That is the property that lets the
-// analysis pipeline process traces far larger than memory.
-type RegionScanner struct {
-	mod    *ir.Module
-	ctx    context.Context
-	src    EventSource
-	tk     regionTracker
-	buf    []Event  // retained events; buf[0] is absolute index base
-	base   int      // absolute index of buf[0]
-	idx    int      // absolute index of the next event
-	peak   int      // high-water mark of len(buf)
-	active bool     // a target region is open, events are being retained
-	queue  []*Trace // regions closed but not yet returned
-	closed int      // regions closed so far: the index error contexts name
-	done   bool
-	err    error
-
-	// rec, when non-nil, receives scan counters. Per-event costs stay off
-	// the hot path: consumed events accumulate in flushed and are published
-	// only at the existing scanCtxCheckInterval poll and at EOF.
-	rec     *obs.Recorder
-	flushed int // absolute event index already published to rec
-}
-
-// scanCtxCheckInterval is the scanner's cancellation-poll granularity:
-// ctx.Err is consulted once per this many consumed events (and on every
-// Next call), bounding cancellation latency without a per-event check.
+// scanCtxCheckInterval is the region feed's cancellation-poll granularity:
+// ctx.Err is consulted once per this many events, bounding cancellation
+// latency without a per-event check.
 const scanCtxCheckInterval = 4096
-
-// NewRegionScanner returns a scanner yielding the dynamic regions of the
-// given source loop from src, validated against mod.
-func NewRegionScanner(mod *ir.Module, loopID int, src EventSource) *RegionScanner {
-	return NewRegionScannerCtx(context.Background(), mod, loopID, src)
-}
-
-// NewRegionScannerCtx is NewRegionScanner with cooperative cancellation:
-// ctx is polled at region boundaries and every scanCtxCheckInterval events,
-// so scanning a multi-gigabyte stream stops shortly after ctx is done. The
-// cancellation error wraps ctx.Err(), making it visible to errors.Is as
-// context.Canceled or context.DeadlineExceeded.
-func NewRegionScannerCtx(ctx context.Context, mod *ir.Module, loopID int, src EventSource) *RegionScanner {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &RegionScanner{mod: mod, ctx: ctx, src: src, tk: regionTracker{target: loopID}, rec: obs.FromContext(ctx)}
-}
-
-// MaxRetained returns the high-water mark of retained events — the
-// scanner's peak buffering, which tracks the largest open region rather
-// than the stream length.
-func (s *RegionScanner) MaxRetained() int { return s.peak }
-
-// emit materializes closed regions into the yield queue, copying out of the
-// retention buffer (which is about to be reused).
-func (s *RegionScanner) emit(closed []Region) {
-	for _, r := range closed {
-		events := make([]Event, r.End-r.Start)
-		copy(events, s.buf[r.Start-s.base:r.End-s.base])
-		s.queue = append(s.queue, &Trace{Module: s.mod, Events: events})
-		s.closed++
-	}
-	if s.rec != nil && len(closed) > 0 {
-		s.rec.Add(obs.RegionsScanned, int64(len(closed)))
-	}
-}
-
-// flushStats publishes the scan counters accumulated since the last flush.
-// Called at the cancellation-poll granularity and at EOF, so a nil recorder
-// costs one predictable branch per poll, never per event.
-func (s *RegionScanner) flushStats() {
-	if s.rec == nil {
-		return
-	}
-	if s.idx > s.flushed {
-		s.rec.Add(obs.EventsScanned, int64(s.idx-s.flushed))
-		s.flushed = s.idx
-	}
-	s.rec.Max(obs.ScanPeakRetainedEvents, int64(s.peak))
-}
-
-// failAt records a scan error, naming the event index and the index of the
-// region being formed when the stream went bad — so a corrupt-trace report
-// localizes the damage in both the byte stream (the decoder's offset
-// context) and the region sequence (ours).
-func (s *RegionScanner) failAt(err error) error {
-	s.err = fmt.Errorf("trace: scanning region %d (event %d): %w", s.closed, s.idx, err)
-	return s.err
-}
-
-// Next returns the next closed region as a materialized sub-trace sharing
-// the scanner's module. It returns io.EOF when the stream is exhausted.
-func (s *RegionScanner) Next() (*Trace, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if err := s.canceled(); err != nil {
-		return nil, err
-	}
-	for {
-		if len(s.queue) > 0 {
-			tr := s.queue[0]
-			s.queue = s.queue[1:]
-			return tr, nil
-		}
-		if s.done {
-			return nil, io.EOF
-		}
-		if s.idx%scanCtxCheckInterval == 0 {
-			if err := s.canceled(); err != nil {
-				return nil, err
-			}
-			s.flushStats()
-		}
-		ev, err := s.src.Next()
-		if err == io.EOF {
-			s.done = true
-			s.emit(s.tk.finish(s.idx))
-			s.buf = nil
-			s.flushStats()
-			continue
-		}
-		if err != nil {
-			return nil, s.failAt(err)
-		}
-		if ev.ID < 0 || int(ev.ID) >= s.mod.NumInstrs {
-			return nil, s.failAt(fmt.Errorf("instruction ID %d not in module (%d instructions): %w",
-				ev.ID, s.mod.NumInstrs, ErrCorruptTrace))
-		}
-		// Closed regions end at s.idx exclusive, so they are materialized
-		// before the current event (an end marker or a return) is retained.
-		s.emit(s.tk.step(s.idx, s.mod.InstrAt(ev.ID)))
-		if start := s.tk.earliestOpen(); start >= 0 {
-			if !s.active {
-				// The current event is the target loop.begin marker: the
-				// region's events start at the next index.
-				s.active = true
-				s.base = start
-				s.buf = s.buf[:0]
-			}
-			if s.idx >= s.base {
-				s.buf = append(s.buf, ev)
-				if len(s.buf) > s.peak {
-					s.peak = len(s.buf)
-				}
-			}
-		} else if s.active {
-			// The last open target region just closed: nothing needs to be
-			// retained until the next target loop.begin.
-			s.active = false
-			s.buf = s.buf[:0]
-		}
-		s.idx++
-	}
-}
-
-// canceled reports (and latches) cooperative cancellation, wrapping the
-// context's error so errors.Is sees the precise cause.
-func (s *RegionScanner) canceled() error {
-	if s.ctx == nil {
-		return nil
-	}
-	if err := s.ctx.Err(); err != nil {
-		s.err = fmt.Errorf("trace: scan canceled at event %d: %w", s.idx, err)
-		return s.err
-	}
-	return nil
-}

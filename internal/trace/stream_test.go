@@ -2,9 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"github.com/example/vectrace/internal/core"
 	"io"
 	"strings"
 	"testing"
@@ -165,187 +166,6 @@ func TestDecoderReservedAddrError(t *testing.T) {
 	}
 }
 
-// scanAll drains a RegionScanner over the given source.
-func scanAll(t *testing.T, tr *trace.Trace, loopID int, src trace.EventSource) []*trace.Trace {
-	t.Helper()
-	sc := trace.NewRegionScanner(tr.Module, loopID, src)
-	var out []*trace.Trace
-	for {
-		sub, err := sc.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, sub)
-	}
-}
-
-// checkScannerParity asserts the streaming scanner yields exactly the
-// regions Trace.Regions finds, with identical event content, both from an
-// in-memory source and through a full encode/decode cycle.
-func checkScannerParity(t *testing.T, tr *trace.Trace, loopID int) {
-	t.Helper()
-	want := tr.Regions(loopID)
-
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, tr.Events); err != nil {
-		t.Fatal(err)
-	}
-	sources := map[string]trace.EventSource{
-		"slice":   &trace.SliceSource{Events: tr.Events},
-		"decoder": trace.NewDecoder(bytes.NewReader(buf.Bytes())),
-	}
-	for name, src := range sources {
-		got := scanAll(t, tr, loopID, src)
-		if len(got) != len(want) {
-			t.Fatalf("%s: scanner yielded %d regions, Regions found %d", name, len(got), len(want))
-		}
-		for i, sub := range got {
-			ref := tr.RegionEvents(want[i])
-			if len(sub.Events) != len(ref) {
-				t.Fatalf("%s: region %d has %d events, want %d", name, i, len(sub.Events), len(ref))
-			}
-			for j := range ref {
-				if sub.Events[j] != ref[j] {
-					t.Fatalf("%s: region %d event %d = %+v, want %+v", name, i, j, sub.Events[j], ref[j])
-				}
-			}
-			if sub.Module != tr.Module {
-				t.Fatalf("%s: region %d does not share the module", name, i)
-			}
-		}
-	}
-}
-
-func TestRegionScannerParity(t *testing.T) {
-	programs := map[string]string{
-		"simple": `
-double g;
-void main() {
-  int i;
-  for (i = 0; i < 3; i++) { g = g + 1.0; }
-}
-`,
-		"nested": `
-double g;
-void main() {
-  int i; int j;
-  for (i = 0; i < 3; i++) {
-    for (j = 0; j < 2; j++) { g = g + 1.0; }
-  }
-}
-`,
-		"callee": `
-double g;
-void work() {
-  int j;
-  for (j = 0; j < 2; j++) { g = g + 1.0; }
-}
-void main() {
-  int i;
-  for (i = 0; i < 3; i++) { work(); }
-}
-`,
-		"early-return": `
-double g;
-int find(int x) {
-  int i;
-  for (i = 0; i < 10; i++) {
-    if (i == x) { return i; }
-    g = g + 1.0;
-  }
-  return 0 - 1;
-}
-void main() { printi(find(4)); }
-`,
-		"zero-iteration": `
-double g;
-void main() {
-  int i;
-  for (i = 0; i < 0; i++) { g = g + 1.0; }
-}
-`,
-	}
-	for name, src := range programs {
-		t.Run(name, func(t *testing.T) {
-			tr := traceFor(t, src)
-			for _, lm := range tr.Module.Loops {
-				checkScannerParity(t, tr, lm.ID)
-			}
-		})
-	}
-}
-
-// TestRegionScannerBoundedRetention: the scanner's peak event retention
-// tracks the size of one region, not the number of regions — the
-// bounded-memory property the streaming pipeline relies on.
-func TestRegionScannerBoundedRetention(t *testing.T) {
-	program := func(reps int) string {
-		return fmt.Sprintf(`
-double a[16];
-void main() {
-  int t; int i;
-  for (t = 0; t < %d; t++) {
-    for (i = 1; i < 15; i++) { a[i] = a[i-1] * 0.5 + 1.0; }
-  }
-}
-`, reps)
-	}
-	peak := func(reps int) (retained, total int) {
-		tr := traceFor(t, program(reps))
-		inner := tr.Module.LoopByLine(6)
-		if inner == nil {
-			t.Fatal("no inner loop on line 6")
-		}
-		sc := trace.NewRegionScanner(tr.Module, inner.ID, &trace.SliceSource{Events: tr.Events})
-		for {
-			if _, err := sc.Next(); err != nil {
-				if err == io.EOF {
-					break
-				}
-				t.Fatal(err)
-			}
-		}
-		return sc.MaxRetained(), tr.Len()
-	}
-	shortPeak, shortLen := peak(2)
-	longPeak, longLen := peak(64)
-	if longLen <= 8*shortLen {
-		t.Fatalf("test setup: long trace (%d events) not much longer than short (%d)", longLen, shortLen)
-	}
-	if longPeak != shortPeak {
-		t.Fatalf("peak retention grew with trace length: %d events (2 regions) vs %d events (64 regions)",
-			shortPeak, longPeak)
-	}
-}
-
-func TestRegionScannerRejectsForeignID(t *testing.T) {
-	tr := traceFor(t, `
-double g;
-void main() {
-  int i;
-  for (i = 0; i < 3; i++) { g = g + 1.0; }
-}
-`)
-	bad := append([]trace.Event{}, tr.Events...)
-	bad[len(bad)/2].ID = int32(tr.Module.NumInstrs) + 7
-	sc := trace.NewRegionScanner(tr.Module, 0, &trace.SliceSource{Events: bad})
-	for {
-		_, err := sc.Next()
-		if err == io.EOF {
-			t.Fatal("scanner accepted out-of-module instruction ID")
-		}
-		if err != nil {
-			if !strings.Contains(err.Error(), "not in module") {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			return
-		}
-	}
-}
-
 // TestRecordMatchesTrace: streaming a program to a VTR1 file and decoding
 // it yields exactly the events live instrumentation produces.
 func TestRecordMatchesTrace(t *testing.T) {
@@ -364,7 +184,7 @@ void main() {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := pipeline.Record(mod, &buf)
+	res, err := pipeline.Record(context.Background(), mod, &buf, core.Budget{}, trace.FormatVTR1, trace.ContainerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
