@@ -33,6 +33,27 @@ import (
 	"github.com/example/vectrace/internal/trace"
 )
 
+// traceKernel compiles and traces k, failing the benchmark on error.
+func traceKernel(b *testing.B, k kernels.Kernel) *trace.Trace {
+	b.Helper()
+	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+// kernelGraph is traceKernel followed by the graph build.
+func kernelGraph(b *testing.B, k kernels.Kernel) (*trace.Trace, *ddg.Graph) {
+	b.Helper()
+	tr := traceKernel(b, k)
+	g, err := ddg.Build(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, g
+}
+
 // BenchmarkFigure1 regenerates the Figure 1 comparison (Algorithm 1 vs
 // Kumar critical-path partitioning on Listing 1).
 func BenchmarkFigure1(b *testing.B) {
@@ -167,15 +188,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 
 // BenchmarkDDGBuild measures DDG construction throughput.
 func BenchmarkDDGBuild(b *testing.B) {
-	k := kernels.GaussSeidel(32, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := traceKernel(b, kernels.GaussSeidel(32, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ddg.Build(tr); err != nil {
@@ -188,48 +201,28 @@ func BenchmarkDDGBuild(b *testing.B) {
 // BenchmarkDDGAnalysisPerNode measures the §4.1 analysis-cost claim
 // ("typically of the order of tens to hundreds of microseconds per DDG
 // node" for the paper's unoptimized prototype — ours is far cheaper and the
-// metric records it).
+// metric records it) on the production engine, the stream kernel, where a
+// node is one traced event.
 func BenchmarkDDGAnalysisPerNode(b *testing.B) {
-	k := kernels.GaussSeidel(24, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := traceKernel(b, kernels.GaussSeidel(24, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Analyze(g, core.Options{})
+		if _, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
-	nsPerNode := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(g.NumNodes())
+	nsPerNode := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(tr.Events))
 	b.ReportMetric(nsPerNode, "ns/node")
 }
 
 // BenchmarkAnalyzeParallel measures the concurrent analysis scheduler on a
-// Table-1-scale graph at 1, 2, 4, and 8 workers. Workers=1 is the
-// sequential oracle; the speedup of the other settings is bounded by the
-// machine's core count (on a single-core host all settings converge).
+// Table-1-scale graph at 1, 2, 4, and 8 workers, running the per-candidate
+// graph reference. Workers=1 is the sequential loop; the speedup of the
+// other settings is bounded by the machine's core count (on a single-core
+// host all settings converge).
 func BenchmarkAnalyzeParallel(b *testing.B) {
-	k := kernels.GaussSeidel(32, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, g := kernelGraph(b, kernels.GaussSeidel(32, 2))
 	candidates := len(g.CandidateInstances())
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -243,61 +236,33 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 }
 
 // BenchmarkObservabilityOverhead bounds the cost of the obs hooks threaded
-// through the analysis (DESIGN.md §11). "off" runs with no recorder on the
-// context — every hook reduces to its nil-check branch, and the contract is
-// that this stays within 2% of BenchmarkAnalyzeParallel (the same sweep
-// from before the hooks existed). "on" attaches a live recorder and
-// measures the full counter/span cost of an observed run.
+// through the stream kernel (DESIGN.md §11). "off" runs with no recorder on
+// the context — every hook reduces to its nil-check branch. "on" attaches a
+// live recorder and measures the full counter/span cost of an observed run.
 func BenchmarkObservabilityOverhead(b *testing.B) {
-	k := kernels.GaussSeidel(32, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{Workers: 4}
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeCtx(context.Background(), g, opts); err != nil {
-				b.Fatal(err)
+	tr := traceKernel(b, kernels.GaussSeidel(32, 2))
+	for _, mode := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"off", context.Background()},
+		{"on", obs.WithRecorder(context.Background(), obs.New())},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pipeline.AnalyzeRegion(mode.ctx, tr, ddg.Options{}, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		ctx := obs.WithRecorder(context.Background(), obs.New())
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeCtx(ctx, g, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkTimestamps measures one Algorithm 1 sweep.
 func BenchmarkTimestamps(b *testing.B) {
-	k := kernels.Listing1(64)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := mod.CandidateIDs(-1)
+	tr, g := kernelGraph(b, kernels.Listing1(64))
+	ids := tr.Module.CandidateIDs(-1)
 	if len(ids) == 0 {
 		b.Fatal("no candidates")
 	}
@@ -309,19 +274,7 @@ func BenchmarkTimestamps(b *testing.B) {
 
 // BenchmarkKumarBaseline measures the whole-graph critical-path analysis.
 func BenchmarkKumarBaseline(b *testing.B) {
-	k := kernels.Listing1(64)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, g := kernelGraph(b, kernels.Listing1(64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		baseline.Kumar(g)
@@ -340,21 +293,18 @@ func BenchmarkReductionAblation(b *testing.B) {
 			sphinx = s
 		}
 	}
-	mod, _, tr, err := pipeline.CompileAndTrace(sphinx.Kernel.Name+".c", sphinx.Kernel.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = mod
+	tr := traceKernel(b, sphinx.Kernel)
 	region := tr.Slice(tr.Regions(tr.Module.LoopByLine(sphinx.Kernel.LineOf("@dist")).ID)[0])
-	g, err := ddg.Build(region)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var base, relaxed *core.Report
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base = core.Analyze(g, core.Options{})
-		relaxed = core.Analyze(g, core.Options{RelaxReductions: true})
+		if base, err = pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		if relaxed, err = pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{RelaxReductions: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(base.UnitVecOpsPct, "base-unit-pct")
@@ -365,15 +315,7 @@ func BenchmarkReductionAblation(b *testing.B) {
 // dependence categories (§3: anti/output and control edges can be added
 // without changing the analyses).
 func BenchmarkDependenceCategoryAblation(b *testing.B) {
-	k := kernels.GaussSeidel(24, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := traceKernel(b, kernels.GaussSeidel(24, 2))
 	for _, cfg := range []struct {
 		name string
 		opts ddg.Options
@@ -385,39 +327,27 @@ func BenchmarkDependenceCategoryAblation(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g, err := ddg.BuildOpts(tr, cfg.opts)
-				if err != nil {
+				if _, err := pipeline.AnalyzeRegion(context.Background(), tr, cfg.opts, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
-				core.Analyze(g, core.Options{})
 			}
 		})
 	}
 }
 
 // BenchmarkAnalysisScaling measures analysis cost growth with trace size
-// (the per-node cost should stay near-constant: the sweep is linear per
-// candidate instruction).
+// (the per-node cost should stay near-constant: the stream kernel's sweep
+// is one pass over the events).
 func BenchmarkAnalysisScaling(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
-		k := kernels.Listing1(n)
-		mod, err := pipeline.Compile(k.Name+".c", k.Source)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := ddg.Build(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tr := traceKernel(b, kernels.Listing1(n))
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Analyze(g, core.Options{})
+				if _, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric(float64(g.NumNodes()), "nodes")
+			b.ReportMetric(float64(len(tr.Events)), "nodes")
 		})
 	}
 }
@@ -425,15 +355,8 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 // BenchmarkLarusBaseline measures the loop-level model.
 func BenchmarkLarusBaseline(b *testing.B) {
 	k := kernels.Listing2(64)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lm := mod.LoopByLine(k.LineOf("@main-loop"))
+	tr := traceKernel(b, k)
+	lm := tr.Module.LoopByLine(k.LineOf("@main-loop"))
 	regions := tr.Regions(lm.ID)
 	g, err := ddg.Build(tr.Slice(regions[0]))
 	if err != nil {
@@ -484,15 +407,7 @@ func BenchmarkRankOpportunities(b *testing.B) {
 // BenchmarkTraceEncode and BenchmarkTraceDecode measure the on-disk trace
 // codec.
 func BenchmarkTraceEncode(b *testing.B) {
-	k := kernels.GaussSeidel(32, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := traceKernel(b, kernels.GaussSeidel(32, 2))
 	b.SetBytes(int64(len(tr.Events)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -563,15 +478,7 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkAnnotate measures the per-line report pipeline.
 func BenchmarkAnnotate(b *testing.B) {
-	k := kernels.GaussSeidel(24, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := traceKernel(b, kernels.GaussSeidel(24, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := report.AnnotateSource(tr, core.Options{}); err != nil {
@@ -583,15 +490,8 @@ func BenchmarkAnnotate(b *testing.B) {
 // BenchmarkControlRegularity measures the §4.4 future-work metric.
 func BenchmarkControlRegularity(b *testing.B) {
 	k := kernels.PDESolver(12, 3)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(context.Background(), mod, core.Budget{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lm := mod.LoopByLine(k.LineOf("@block-i"))
+	tr := traceKernel(b, k)
+	lm := tr.Module.LoopByLine(k.LineOf("@block-i"))
 	b.ResetTimer()
 	var r core.Regularity
 	for i := 0; i < b.N; i++ {

@@ -42,7 +42,6 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of the paper layout")
 	workers := flag.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
 	scan := flag.Int("scan", 0, "benchmark scan throughput on a trace with this many dynamic `regions` (0 = off)")
-	interpN := flag.Int("interp", 0, "benchmark interpreter dispatch (plan vs oracle) at this problem `size` (0 = off)")
 	serveN := flag.Int("serve", 0, "benchmark the vectraced service path with this many `requests` per queue depth (0 = off)")
 	var tf diag.TraceFormat
 	tf.Register(flag.CommandLine, "trace-format", trace.FormatVTR2, true)
@@ -70,13 +69,11 @@ func main() {
 	ctx, cancel := timeout.Context(obsFlags.Context(context.Background()))
 	defer cancel()
 	opts := core.Options{Workers: *workers}
-	interpSummary := map[string]any{}
+	serveSummary := map[string]any{}
 	var err error
 	switch {
 	case *serveN > 0:
-		err = runServe(ctx, *serveN, interpSummary)
-	case *interpN > 0:
-		err = runInterp(ctx, *interpN, interpSummary)
+		err = runServe(ctx, *serveN, serveSummary)
 	case *scan > 0:
 		err = runScan(ctx, *scan, opts, tf)
 	case *csvOut:
@@ -96,15 +93,9 @@ func main() {
 		config["trace_format"] = tf.Format
 		config["scan_workers"] = tf.ScanWorkers
 	}
-	if *interpN > 0 {
-		config["interp"] = *interpN
-		for k, v := range interpSummary {
-			config[k] = v
-		}
-	}
 	if *serveN > 0 {
 		config["serve"] = *serveN
-		for k, v := range interpSummary {
+		for k, v := range serveSummary {
 			config[k] = v
 		}
 	}

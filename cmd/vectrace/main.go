@@ -284,7 +284,6 @@ func analyzeCmd(file, src string, rest []string) error {
 	traceFile := fs.String("trace", "", "analyze a previously saved trace instead of re-executing")
 	intOps := fs.Bool("int-ops", false, "also characterize integer add/sub/mul")
 	workers := fs.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
-	tile := fs.Int("tile", 0, "candidates per fused Algorithm-1 pass (0 = auto, <0 = per-candidate kernel)")
 	jsonOut := fs.Bool("json", false, "emit the canonical analysis JSON instead of text (requires -line; excludes -baselines)")
 	var tf diag.TraceFormat
 	tf.Register(fs, "trace-format", "auto", true)
@@ -298,7 +297,7 @@ func analyzeCmd(file, src string, rest []string) error {
 		return err
 	}
 	opts := ddg.Options{CharacterizeInts: *intOps}
-	copts := core.Options{RelaxReductions: *relax, Workers: *workers, TileSize: *tile}
+	copts := core.Options{RelaxReductions: *relax, Workers: *workers}
 	if err := tf.Validate(true); err != nil {
 		return usageError{err}
 	}
@@ -437,16 +436,13 @@ func analyzeCmd(file, src string, rest []string) error {
 		}
 
 		if *line == 0 {
-			// Whole-program analysis needs every event resident.
+			// Whole-program analysis: the whole trace is one region of the
+			// stream kernel. Only the Kumar baseline needs its graph.
 			tr, err := loadTrace()
 			if err != nil {
 				return err
 			}
-			g, err := ddg.BuildOpts(tr, opts)
-			if err != nil {
-				return err
-			}
-			rep, err := core.AnalyzeCtx(ctx, g, copts)
+			rep, err := pipeline.AnalyzeRegion(ctx, tr, opts, copts)
 			if err != nil {
 				return err
 			}
@@ -454,6 +450,10 @@ func analyzeCmd(file, src string, rest []string) error {
 			defer sp.End()
 			fmt.Print(rep.String())
 			if *compare {
+				g, err := ddg.BuildOpts(tr, opts)
+				if err != nil {
+					return err
+				}
 				printKumar(g)
 			}
 			return nil
@@ -511,8 +511,7 @@ func analyzeCmd(file, src string, rest []string) error {
 		rec.SetCorruptByte(off)
 	}
 	config := map[string]any{
-		"file": file, "line": *line, "instance": *instance,
-		"workers": copts.WorkerCount(), "tile": *tile,
+		"file": file, "line": *line, "instance": *instance, "workers": copts.WorkerCount(),
 		"relax_reductions": *relax, "int_ops": *intOps,
 	}
 	if *traceFile != "" {

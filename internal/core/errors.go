@@ -11,8 +11,8 @@ package core
 //   - ErrCanceled: cooperative cancellation. Errors carrying it also wrap
 //     the context's own error, so errors.Is(err, context.DeadlineExceeded)
 //     and errors.Is(err, context.Canceled) report the precise cause.
-//   - *UnitError: one unit of a fanned-out computation (a candidate, a
-//     tile, a region) failed — by returning an error or by panicking — and
+//   - *UnitError: one unit of a fanned-out computation (a candidate or
+//     a region) failed — by returning an error or by panicking — and
 //     was isolated so its siblings could finish.
 //
 // trace.ErrCorruptTrace completes the taxonomy on the ingestion side (the
@@ -50,16 +50,16 @@ func Canceled(ctx context.Context) error {
 // A UnitError reports the failure of one unit of a fanned-out computation.
 // ParallelFor recovers per-unit panics into UnitErrors (keeping one
 // poisoned unit from killing the process), and analysis stages label their
-// units so the report names the failed candidate, tile, or region rather
+// units so the report names the failed candidate or region rather
 // than a bare index.
 type UnitError struct {
 	// Unit is the unit's index within its ParallelFor dispatch.
 	Unit int
-	// Kind names the unit's granularity: "candidate", "tile", "region",
-	// or "unit" when the dispatcher had no label.
+	// Kind names the unit's granularity: "candidate", "region", or
+	// "unit" when the dispatcher had no label.
 	Kind string
-	// ID is the unit's domain identity — the candidate instruction ID,
-	// a tile's first candidate ID, or the region index — or -1.
+	// ID is the unit's domain identity — the candidate instruction ID
+	// or the region index — or -1.
 	ID int64
 	// Stack is the recovered goroutine stack when the unit panicked, nil
 	// when it returned an error normally.

@@ -8,3 +8,14 @@ func SetAnalyzeUnitHook(h func(id int32)) (restore func()) {
 	analyzeUnitHook = h
 	return func() { analyzeUnitHook = old }
 }
+
+// UseMapShadow routes every address of k's shadow memory through the
+// overflow map instead of the paged table, so tests can check the paged
+// shadow against the plain map. Call it right after AcquireStreamKernel;
+// Release clears it.
+func (k *StreamKernel) UseMapShadow() { k.mapShadow = true }
+
+// ResetRegion readies k for another region without returning it to the
+// pool, so allocation tests see one kernel's steady state whatever the
+// garbage collector does to the pool.
+func (k *StreamKernel) ResetRegion() { k.reset() }

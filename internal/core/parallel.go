@@ -15,8 +15,8 @@ import (
 // independent analysis units out across goroutines, plus the recycled
 // per-worker buffers the per-instruction pipeline runs in.
 //
-// Parallelizing the per-instruction sweep is sound because Algorithm 1 is
-// read-only over the graph: each candidate's timestamping (Property 3.1)
+// Parallelizing the reference's per-instruction sweep (AnalyzeCtx) is
+// sound because Algorithm 1 is read-only over the graph: each candidate's timestamping (Property 3.1)
 // reads shared immutable structures (g.Nodes, g.Extra, g.Mod) and writes
 // only its own timestamp buffer, so the per-candidate pipelines share no
 // mutable state. Determinism follows from index-addressed result merging:
@@ -105,7 +105,7 @@ func ParallelFor(ctx context.Context, n, workers int, fn func(i int) error) erro
 }
 
 // Guard runs f with the same per-unit panic isolation ParallelFor applies,
-// labeling any recovered panic with the unit's kind ("candidate", "tile",
+// labeling any recovered panic with the unit's kind ("candidate",
 // "region") and domain identity so the surfaced *UnitError names what
 // failed rather than a bare loop index.
 func Guard(unit int, kind string, id int64, f func() error) (err error) {
@@ -124,8 +124,8 @@ func Guard(unit int, kind string, id int64, f func() error) (err error) {
 // O(candidates).
 type instrScratch struct {
 	// ts is the per-node timestamp buffer filled by Algorithm 1 (used only
-	// by the per-candidate oracle kernel; the fused kernel reads its tile
-	// matrix instead).
+	// by the graph reference; the stream kernel keeps per-instance
+	// timestamps in its columns instead).
 	ts []int32
 	// instTS holds the analyzed instruction's per-instance timestamps,
 	// parallel to its instance list.
@@ -175,8 +175,8 @@ func (sc *instrScratch) release() { scratchPool.Put(sc) }
 
 // partition buckets the instances of one static instruction by timestamp
 // into dense, slice-indexed buckets. instTS carries the instances'
-// timestamps, parallel to inst (so both kernels can feed it: the oracle
-// gathers from its per-node array, the fused kernel from its tile column).
+// timestamps, parallel to inst (so both engines can feed it: the reference
+// gathers from its per-node array, the stream kernel from its column).
 // Timestamps of instances are contiguous in 1..maxTS (each instance
 // increments its own timestamp, so no instance sits at 0), which makes a
 // counting sort both allocation-lean and deterministic: every bucket keeps

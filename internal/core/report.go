@@ -82,43 +82,36 @@ type Report struct {
 	PerInstr []InstrReport
 }
 
-// Analyze runs the complete §3 pipeline over the graph: Algorithm 1 per
-// candidate instruction, unit-stride subpartitioning of every parallel
-// partition, and the non-unit stride analysis of the leftovers.
-//
-// Timestamping runs through the fused tiled kernel (fused.go): candidates
-// are grouped into tiles of opts.tileWidth() and each tile shares one
-// trace-order pass over the graph, with tiles fanned out across
-// opts.WorkerCount() workers. A negative opts.TileSize selects the legacy
-// per-candidate kernel instead (one sweep per candidate), which is retained
-// as the differential-testing oracle. Either way results land in
-// index-addressed slots and all aggregation happens afterwards over integer
-// counters in candidate-id order, making the output byte-identical for
-// every worker count, tile width, and kernel choice.
+// analyzeUnitHook, when non-nil, observes the start of every per-candidate
+// analysis stage in both engines. It exists for fault-injection tests —
+// injecting panics and delays into the sweep — and is never set outside
+// tests (see SetAnalyzeUnitHook in export_test.go).
+var analyzeUnitHook func(id int32)
+
+// Analyze is AnalyzeCtx without cancellation or a typed error: it panics
+// if a unit fails, which only a poisoned graph can cause.
 func Analyze(g *ddg.Graph, opts Options) *Report {
 	rep, err := AnalyzeCtx(context.Background(), g, opts)
 	if err != nil {
-		// Without a cancelable context or budget the pipeline has no
-		// failure mode of its own; an error here means a unit panicked on a
-		// poisoned graph, which this legacy convenience entry point cannot
-		// report. Production callers use AnalyzeCtx and receive the typed
-		// error instead of this panic.
 		panic(err)
 	}
 	return rep
 }
 
-// AnalyzeCtx is Analyze with the full failure model: cooperative
-// cancellation through ctx (checked at tile granularity), the
-// opts.Budget.MaxAnalysisBytes working-set bound (exceeded ⇒ an error
-// wrapping ErrResourceLimit, before any large allocation), and per-unit
-// panic isolation (a poisoned candidate or tile surfaces as a *UnitError
-// naming it, while every other candidate's row is computed normally).
+// AnalyzeCtx runs the complete §3 pipeline over a materialized graph:
+// Algorithm 1 once per candidate instruction (one sweep of the graph each),
+// unit-stride subpartitioning of every parallel partition, and the
+// non-unit stride analysis of the leftovers. It is the paper-literal
+// reference the stream kernel is tested against; production reports come
+// from the kernel (StreamKernel), which must agree with it exactly.
 //
-// On error the returned report is still populated with the successful
-// candidates' rows — degraded, never silently partial: the error lists
-// every failed unit. The report is nil only when nothing was analyzed
-// (budget exceeded or canceled before the sweep).
+// Candidates fan out across opts.WorkerCount() workers; results land in
+// index-addressed slots and are aggregated afterwards in candidate-id
+// order, so output is identical for every worker count. The failure model
+// is the kernel's: cooperative cancellation through ctx, the
+// opts.Budget.MaxAnalysisBytes bound (checked before the sweep), and
+// per-candidate panic isolation. On error the report still carries the
+// successful candidates' rows; it is nil only when nothing was analyzed.
 func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error) {
 	rep := &Report{TotalNodes: g.NumNodes()}
 	instances := g.CandidateInstances()
@@ -136,39 +129,27 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 	if err := opts.Budget.checkAnalysisBudget(len(g.Nodes), len(ids)); err != nil {
 		return nil, err
 	}
-
-	// The recorder is resolved once per analysis, never per node or per
-	// candidate; a nil recorder reduces every hook below to one branch.
 	rec := obs.FromContext(ctx)
 	if rec != nil {
 		rec.Add(obs.DDGNodes, int64(g.NumNodes()))
 		rec.Add(obs.DDGEdges, g.NumEdges())
 		rec.Add(obs.CandidatesAnalyzed, int64(len(ids)))
 		rec.Set(obs.BudgetMaxAnalysisBytes, opts.Budget.MaxAnalysisBytes)
-		tw := 1
-		if opts.TileSize >= 0 {
-			tw = opts.tileWidth(len(g.Nodes))
-		}
-		rec.Max(obs.AnalysisFootprintBytes, analysisFootprint(len(g.Nodes), len(ids), tw, opts.WorkerCount()))
+		rec.Max(obs.AnalysisFootprintBytes, analysisFootprint(len(g.Nodes), len(ids), opts.WorkerCount()))
 	}
 
-	var sweepErr error
 	results := make([]InstrReport, len(ids))
-	if opts.TileSize < 0 {
-		sweepErr = ParallelFor(ctx, len(ids), opts.WorkerCount(), func(i int) error {
-			return Guard(i, "candidate", int64(ids[i]), func() error {
-				if analyzeUnitHook != nil {
-					analyzeUnitHook(ids[i])
-				}
-				sc := getScratch(len(g.Nodes), rec)
-				defer sc.release()
-				results[i] = analyzeInstr(g, ids[i], instances[ids[i]], opts, sc)
-				return nil
-			})
+	sweepErr := ParallelFor(ctx, len(ids), opts.WorkerCount(), func(i int) error {
+		return Guard(i, "candidate", int64(ids[i]), func() error {
+			if analyzeUnitHook != nil {
+				analyzeUnitHook(ids[i])
+			}
+			sc := getScratch(len(g.Nodes), rec)
+			defer sc.release()
+			results[i] = analyzeInstr(g, ids[i], instances[ids[i]], opts, sc)
+			return nil
 		})
-	} else {
-		sweepErr = analyzeFused(ctx, g, ids, instances, opts, results, rec)
-	}
+	})
 	if sweepErr != nil {
 		// Reset slots the sweep never reached (cancellation) or left
 		// poisoned to identity-only rows, so the degraded report still names
@@ -182,7 +163,14 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 			}
 		}
 	}
+	rep.summarize(results, rec)
+	return rep, sweepErr
+}
 
+// summarize fills the region-level columns from the per-candidate rows and
+// sorts the rows by source line, then ID. Both engines end here, so the
+// aggregation is defined once, over integer counters.
+func (rep *Report) summarize(results []InstrReport, rec *obs.Recorder) {
 	totalOps := 0
 	totalPartitions := 0
 	unitVecOps, unitSubparts, unitSum := 0, 0, 0
@@ -226,7 +214,6 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 		}
 		return rep.PerInstr[i].ID < rep.PerInstr[j].ID
 	})
-	return rep, sweepErr
 }
 
 // AnalyzeInstr runs the pipeline for a single static instruction.
@@ -237,11 +224,9 @@ func AnalyzeInstr(g *ddg.Graph, id int32, opts Options) InstrReport {
 }
 
 // analyzeInstr is the complete per-candidate pipeline — one Algorithm 1
-// sweep for this candidate alone, then the shared post-timestamp stages —
-// over the precomputed instance list, using the scratch's recycled buffers.
-// It is the legacy (pre-fusion) unit of work, retained as the fused
-// kernel's differential-testing oracle and as AnalyzeInstr's engine, and it
-// only reads shared state.
+// sweep for this candidate alone, then the post-timestamp stages — over the
+// precomputed instance list, using the scratch's recycled buffers. It only
+// reads shared state.
 func analyzeInstr(g *ddg.Graph, id int32, inst []int32, opts Options, sc *instrScratch) InstrReport {
 	red := detectReductionInst(g, id, inst)
 	var cut *reductionInfo
@@ -261,10 +246,8 @@ func analyzeInstr(g *ddg.Graph, id int32, inst []int32, opts Options, sc *instrS
 
 // finishInstr runs the stages after timestamping — partitioning,
 // unit-stride subpartitioning, the non-unit wait-list analysis, and report
-// assembly — for one candidate. It consumes only per-instance timestamps
-// (instTS parallel to inst), never a whole-graph timestamp array, which is
-// what lets the fused kernel hand each candidate a gathered slice of its
-// tile column instead of materializing N timestamps per candidate.
+// assembly — for one candidate, over its per-instance timestamps (instTS
+// parallel to inst).
 func finishInstr(g *ddg.Graph, id int32, inst, instTS []int32, red *reductionInfo, sc *instrScratch) InstrReport {
 	parts := sc.partition(inst, instTS)
 	elem := elemSizeOf(g, id)

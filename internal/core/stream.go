@@ -17,19 +17,25 @@ package core
 //   - shadow memory: one row per address with a live last store (plus, under
 //     IncludeAntiOutput, one running-max row over the readers since it);
 //   - per candidate column: the per-instance timestamp/tuple arrays the
-//     partitioning and stride stages consume (the same arrays the fused
-//     kernel would gather from its tile matrix).
+//     partitioning and stride stages consume.
 //
 // Columns are assigned lazily, in order of first dynamic appearance, and
 // rows are extended lazily: a row written when the width was w' < w
 // zero-extends to width w, which is exact — a value produced before a
 // candidate's first instance has timestamp 0 for that candidate.
 //
-// Equivalence with ddg.BuildOpts + AnalyzeCtx is enforced by differential
-// tests (stream_test.go and the pipeline suites); the materialized path
-// remains available behind Options.Materialize as the oracle, and is still
-// required for the whole-graph analyses (critical-path profiles, the
-// Kumar/Larus baselines, RelaxReductions).
+// Options.RelaxReductions takes two passes over the same events, because
+// one causal pass cannot decide whether to cut an instance's accumulator
+// edge: the ≥50% reduction rule is region-wide, and for the s += expr round
+// trip the deciding address is the one the instance stores to later. Under
+// relaxation Feed therefore also buffers the region's events. Pass 1 is
+// the ordinary sweep, which records per instance which operand carried the
+// accumulator; Finish then replays the buffer once with those operands cut
+// from each reduction column's own timestamps (see planCuts).
+//
+// This is the only production Algorithm-1 engine. Equivalence with the
+// paper-literal graph reference, ddg.BuildOpts + AnalyzeCtx, is enforced by
+// differential tests (stream_test.go and the pipeline suites).
 
 import (
 	"context"
@@ -41,6 +47,7 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/obs"
+	"github.com/example/vectrace/internal/trace"
 )
 
 // Nominal live-byte costs of the kernel's unit allocations, used for the
@@ -51,7 +58,8 @@ import (
 const (
 	streamValBytes      = 56 // one register-file slot descriptor
 	streamCellBytes     = 96 // one shadow-memory cell + map entry
-	streamInstanceBytes = 48 // one candidate instance (timestamp + tuple + pends)
+	streamInstanceBytes = 48 // one candidate instance (timestamp + tuple + flags)
+	streamEventBytes    = 16 // one buffered event (RelaxReductions replay)
 )
 
 // streamVal describes the producer of a live value: its timestamp row, the
@@ -62,6 +70,7 @@ const (
 // exactly as the materialized builder propagates producer node indices.
 type streamVal struct {
 	row         []int32
+	seq         int64 // the producing event's position: the graph node identity
 	instr       int32 // producing static instruction, -1 when unwritten
 	cand        int32 // candidate column of the producer, -1
 	inst        int32 // instance index within the column (when cand >= 0)
@@ -87,20 +96,46 @@ type candCol struct {
 	// (register chain or store/load round trip), detected online.
 	accum  int
 	instTS []int32
+	// carry (eligible columns only) holds per-instance operand flags: the
+	// operand's producer is an earlier instance of the column (carryX,
+	// carryY), or a load of a value an instance of the column stored
+	// (tripX, tripY) — a round trip if the instance's own first store hits
+	// that load's address, which is the operand's tup entry.
+	carry []uint8
 	// tup holds each instance's memory tuple; tup[k][0] stays ddg.NoAddr
 	// until the instance's first store patches it (mapped to the paper's
 	// artificial address 0 only when the stride stage reads it).
 	tup [][3]int64
-	// pendA/pendB (eligible columns only) carry the candidate round-trip
-	// load address of each instance's operands: if the instance's first
-	// store hits that address, the instance accumulates through memory.
-	pendA, pendB []int64
+}
+
+// Operand flags of candCol.carry. carryX and carryY double as the cut
+// codes of a relaxation plan.
+const (
+	carryX = 1 << iota
+	carryY
+	tripX
+	tripY
+)
+
+// carries reports whether instance i's operand op (0 = X, 1 = Y) carries
+// the accumulator: register-carried, or loaded from the address the
+// instance's value is first stored to (detectReductionInst's carriesAccum).
+func (ca *candCol) carries(i, op int) bool {
+	f, sa := ca.carry[i]>>op, ca.tup[i][0]
+	return f&carryX != 0 || f&tripX != 0 && sa != ddg.NoAddr && sa != 0 && ca.tup[i][1+op] == sa
+}
+
+// isReduction applies the ≥50% rule of detectReductionInst to the column's
+// online counts.
+func (ca *candCol) isReduction() bool {
+	n := len(ca.instTS)
+	return ca.elig && n >= 3 && float64(ca.accum)/float64(n-1) >= 0.5
 }
 
 // shadowCell is the last-writer state of one memory address: the last
 // store's timestamp row and value provenance, plus (under IncludeAntiOutput)
 // a running elementwise max over the rows of readers since that store and
-// their count — enough to reproduce the oracle's anti/output edges without
+// their count — enough to reproduce the reference's anti/output edges without
 // keeping the reader nodes.
 type shadowCell struct {
 	row      []int32
@@ -119,8 +154,8 @@ type shadowCell struct {
 // epoch increment — no per-slot clearing — and pages are recycled across
 // regions through the directory itself plus a freelist. Addresses outside
 // the directory's span (negative, or beyond maxShadowPages pages) fall
-// back to the legacy map, which also serves whole when Options.MapShadow
-// selects the oracle path.
+// back to an overflow map. Tests can route every address through the map
+// (mapShadow) to check the paged table against it.
 const (
 	shadowPageShift = 10 // 1 KiB of address space per page
 	shadowPageSpan  = 1 << shadowPageShift
@@ -143,7 +178,7 @@ type shadowPage struct {
 	slots [shadowPageSpan]shadowSlot
 }
 
-// StreamKernel runs the fused one-pass analysis of a single region: feed
+// StreamKernel runs the one-pass analysis of a single region: feed
 // the region's events in trace order, then Finish. Kernels are checked out
 // of a pool (AcquireStreamKernel / Release) so successive regions reuse the
 // last-writer tables, shadow maps, instance arrays, and stride scratch.
@@ -167,9 +202,10 @@ type StreamKernel struct {
 
 	cands  []candCol
 	frames []streamFrame
-	// shadow is the legacy map path: the whole shadow under
-	// Options.MapShadow, the out-of-directory overflow otherwise.
-	shadow map[int64]*shadowCell
+	// shadow is the out-of-directory overflow map, or the whole shadow
+	// when mapShadow is set (only tests set it, via export_test.go).
+	shadow    map[int64]*shadowCell
+	mapShadow bool
 	// The paged shadow: directory, per-region touch list, recycled pages,
 	// and the current region epoch (always ≥ 1; 0 marks dead slots).
 	pageDir   []*shadowPage
@@ -187,6 +223,11 @@ type StreamKernel struct {
 	iota      []int32
 	order     []int32
 	fin       instrScratch
+
+	// RelaxReductions state: the region's buffered events, and during the
+	// replay the per-column cut plan (nil entry: column not relaxed).
+	replay  []trace.Event
+	cutPlan [][]uint8
 
 	n         int64 // events fed
 	edges     int64 // dependence edges the materialized graph would hold
@@ -248,6 +289,17 @@ func AcquireStreamKernel(mod *ir.Module, dopts ddg.Options, opts Options, rec *o
 // Release resets the kernel's per-region state into its freelists and
 // returns it to the pool. Safe after an error or a partial feed.
 func (k *StreamKernel) Release() {
+	k.reset()
+	k.replay = nil
+	k.cutPlan = nil
+	k.mapShadow = false
+	k.rec = nil
+	streamKernelPool.Put(k)
+}
+
+// reset returns the per-region replay state — frames, columns, shadow,
+// counters, the latched error — to its freelists, ready for a new pass.
+func (k *StreamKernel) reset() {
 	for len(k.frames) > 0 {
 		k.popFrame()
 	}
@@ -298,8 +350,6 @@ func (k *StreamKernel) Release() {
 	k.live, k.peak = 0, 0
 	k.peakAddrs = 0
 	k.err = nil
-	k.rec = nil
-	streamKernelPool.Put(k)
 }
 
 // PeakLiveBytes returns the high-water mark of the kernel's nominal working
@@ -464,9 +514,9 @@ func (k *StreamKernel) popFrame() {
 
 // cellAt resolves an address to its live shadow cell, or nil. The paged
 // path is two array indexes and an epoch compare; only out-of-directory
-// addresses (and the MapShadow oracle mode) consult the map.
+// addresses (and a test's mapShadow kernel) consult the map.
 func (k *StreamKernel) cellAt(addr int64) *shadowCell {
-	if k.opts.MapShadow {
+	if k.mapShadow {
 		return k.shadow[addr]
 	}
 	pi := addr >> shadowPageShift
@@ -505,7 +555,7 @@ func (k *StreamKernel) newCell(addr int64) *shadowCell {
 		c = &shadowCell{valInstr: -1}
 	}
 	k.cells = append(k.cells, c)
-	if pi := addr >> shadowPageShift; !k.opts.MapShadow && uint64(pi) < maxShadowPages {
+	if pi := addr >> shadowPageShift; !k.mapShadow && uint64(pi) < maxShadowPages {
 		for int(pi) >= len(k.pageDir) {
 			k.pageDir = append(k.pageDir, nil)
 		}
@@ -555,9 +605,8 @@ func (k *StreamKernel) colFor(id int32, in *ir.Instr) int32 {
 		ca.elig = reductionEligible(in)
 		ca.accum = 0
 		ca.instTS = ca.instTS[:0]
+		ca.carry = ca.carry[:0]
 		ca.tup = ca.tup[:0]
-		ca.pendA = ca.pendA[:0]
-		ca.pendB = ca.pendB[:0]
 	} else {
 		k.cands = append(k.cands, candCol{id: id, elig: reductionEligible(in)})
 	}
@@ -567,10 +616,15 @@ func (k *StreamKernel) colFor(id int32, in *ir.Instr) int32 {
 // Feed consumes one trace event in trace order. It mirrors the
 // materialized builder's replay case by case; errors (frame mismatch,
 // budget exceeded) latch — subsequent calls return the same error and the
-// kernel stops consuming.
+// kernel stops consuming. Under RelaxReductions the first pass also
+// buffers the event for Finish's replay (the replay runs with a cut plan).
 func (k *StreamKernel) Feed(id int32, addr int64) error {
 	if k.err != nil {
 		return k.err
+	}
+	if k.opts.RelaxReductions && k.cutPlan == nil {
+		k.replay = append(k.replay, trace.Event{ID: id, Addr: addr})
+		k.charge(streamEventBytes)
 	}
 	in := k.mod.InstrAt(id)
 	if len(k.frames) == 0 {
@@ -607,7 +661,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			buf = k.newRow()
 		}
 		row := rowMaxInto(buf, w, k.preds)
-		*dst = streamVal{row: row, instr: id, cand: -1, storedInstr: storedInstr, loadAddr: addr, isLoad: true}
+		*dst = streamVal{row: row, seq: k.n, instr: id, cand: -1, storedInstr: storedInstr, loadAddr: addr, isLoad: true}
 		if k.dopts.IncludeAntiOutput {
 			if cell == nil {
 				cell = k.newCell(addr)
@@ -647,9 +701,9 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		// tuple slot and resolves any pending reduction round trip.
 		if pv != nil && pv.cand >= 0 {
 			ca := &k.cands[pv.cand]
-			if ca.tup[pv.inst][0] == ddg.NoAddr {
-				ca.tup[pv.inst][0] = addr
-				if ca.elig && addr != 0 && (ca.pendA[pv.inst] == addr || ca.pendB[pv.inst] == addr) {
+			if i := int(pv.inst); ca.tup[i][0] == ddg.NoAddr {
+				ca.tup[i][0] = addr
+				if ca.elig && ca.carry[i]&(carryX|carryY) == 0 && (ca.carries(i, 0) || ca.carries(i, 1)) {
 					ca.accum++
 				}
 			}
@@ -707,7 +761,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			}
 			buf = buf[:len(av.row)]
 			copy(buf, av.row)
-			*dst = streamVal{row: buf, instr: av.instr, cand: av.cand, inst: av.inst,
+			*dst = streamVal{row: buf, seq: av.seq, instr: av.instr, cand: av.cand, inst: av.inst,
 				storedInstr: av.storedInstr, loadAddr: av.loadAddr, isLoad: av.isLoad}
 		}
 
@@ -735,10 +789,10 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 				}
 				buf = buf[:len(rp.row)]
 				copy(buf, rp.row)
-				*dst = streamVal{row: buf, instr: rp.instr, cand: rp.cand, inst: rp.inst,
+				*dst = streamVal{row: buf, seq: rp.seq, instr: rp.instr, cand: rp.cand, inst: rp.inst,
 					storedInstr: rp.storedInstr, loadAddr: rp.loadAddr, isLoad: rp.isLoad}
 			} else {
-				// The oracle clears the caller's register on a
+				// The reference clears the caller's register on a
 				// producer-less return.
 				r := dst.row
 				*dst = streamVal{row: r, instr: -1, cand: -1, storedInstr: -1}
@@ -765,6 +819,20 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			col = k.colFor(id, in)
 		}
 		w := len(k.cands)
+		// On the relaxation replay, a reduction instance's own column
+		// takes the maximum without its accumulator operand, read before
+		// rowMaxInto may overwrite a source row in place.
+		relaxed := int32(-1)
+		if col >= 0 && k.cutPlan != nil {
+			if plan := k.cutPlan[col]; plan != nil {
+				switch plan[len(k.cands[col].instTS)] {
+				case carryX:
+					relaxed = k.maxWithout(col, px, px, py)
+				case carryY:
+					relaxed = k.maxWithout(col, py, px, py)
+				}
+			}
+		}
 		var row []int32
 		transient := false
 		if in.Dst != ir.RegNone || isBranch || col >= 0 {
@@ -785,33 +853,33 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		var kidx int32
 		if col >= 0 {
 			ca := &k.cands[col]
+			if relaxed >= 0 {
+				row[col] = relaxed
+			}
 			row[col]++
 			kidx = int32(len(ca.instTS))
 			ca.instTS = append(ca.instTS, row[col])
 			ca.tup = append(ca.tup, [3]int64{ddg.NoAddr, provAddr(px, in.X), provAddr(py, in.Y)})
 			if ca.elig {
-				pa, pb := int64(ddg.NoAddr), int64(ddg.NoAddr)
-				accumNow := false
+				var carry uint8
 				if px != nil {
 					if px.instr == ca.id {
-						accumNow = true
+						carry |= carryX
 					} else if px.isLoad && px.storedInstr == ca.id {
-						pa = px.loadAddr
+						carry |= tripX
 					}
 				}
 				if py != nil {
 					if py.instr == ca.id {
-						accumNow = true
+						carry |= carryY
 					} else if py.isLoad && py.storedInstr == ca.id {
-						pb = py.loadAddr
+						carry |= tripY
 					}
 				}
-				if accumNow {
+				if carry&(carryX|carryY) != 0 {
 					ca.accum++
-					pa, pb = ddg.NoAddr, ddg.NoAddr
 				}
-				ca.pendA = append(ca.pendA, pa)
-				ca.pendB = append(ca.pendB, pb)
+				ca.carry = append(ca.carry, carry)
 			}
 			k.charge(streamInstanceBytes)
 		}
@@ -823,7 +891,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 		if in.Dst != ir.RegNone {
 			dst := &f.regs[in.Dst]
-			*dst = streamVal{row: row, instr: id, cand: col, inst: kidx, storedInstr: -1}
+			*dst = streamVal{row: row, seq: k.n, instr: id, cand: col, inst: kidx, storedInstr: -1}
 		}
 		if transient {
 			k.freeRow(row)
@@ -833,23 +901,100 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 	return k.err
 }
 
-// Finish completes the region: partitions every candidate column, runs the
-// §3.2/§3.3 stride stages over the online tuples, and assembles the Report
-// exactly as AnalyzeCtx does over a materialized graph — same obs counters,
-// same per-candidate Guard isolation, same degraded-slot and aggregation
-// rules, same sort. The kernel stays feedable-after-error semantics aside;
-// callers Release it afterwards either way.
+// maxWithout is column col's maximum over a binary instance's X, Y and
+// control predecessors, leaving out every slot the cut producer fills —
+// the reference's p != cut test, where X and Y may share one producer.
+func (k *StreamKernel) maxWithout(col int32, cut, px, py *streamVal) int32 {
+	var m int32
+	for _, v := range [2]*streamVal{px, py} {
+		if v != nil && v.seq != cut.seq && int(col) < len(v.row) && v.row[col] > m {
+			m = v.row[col]
+		}
+	}
+	if k.dopts.IncludeControl && k.branchSet && int(col) < len(k.branch) && k.branch[col] > m {
+		m = k.branch[col]
+	}
+	return m
+}
+
+// planCuts turns pass 1's online reduction evidence into the replay's cut
+// plan: for every column that meets the ≥50% rule, the operand carrying
+// each instance's accumulator, checked in the reference's accumPredOf
+// order — X (register chain, or a load of the address the instance's
+// value is first stored to) before Y. It reports whether any column is cut.
+func (k *StreamKernel) planCuts() bool {
+	plans := make([][]uint8, len(k.cands))
+	cut := false
+	for c := range k.cands {
+		ca := &k.cands[c]
+		if !ca.isReduction() {
+			continue
+		}
+		cut = true
+		plans[c] = make([]uint8, len(ca.instTS))
+		for i := range plans[c] {
+			switch {
+			case ca.carries(i, 0):
+				plans[c][i] = carryX
+			case ca.carries(i, 1):
+				plans[c][i] = carryY
+			}
+		}
+	}
+	if cut {
+		k.cutPlan = plans
+	}
+	return cut
+}
+
+// relax is pass 2 of RelaxReductions: unless no column is a reduction (then
+// pass 1's sweep already is the answer), the region is swept again from
+// the buffer with the planned operands cut. The budget keeps counting the
+// buffer, and the peaks span both passes.
+func (k *StreamKernel) relax(ctx context.Context) error {
+	if !k.planCuts() {
+		return nil
+	}
+	peak, peakAddrs := k.peak, k.peakAddrs
+	k.reset()
+	k.charge(int64(len(k.replay)) * streamEventBytes)
+	for i, ev := range k.replay {
+		if i%4096 == 4095 {
+			if err := Canceled(ctx); err != nil {
+				return err
+			}
+		}
+		if err := k.Feed(ev.ID, ev.Addr); err != nil {
+			return err
+		}
+	}
+	k.peak = max(k.peak, peak)
+	k.peakAddrs = max(k.peakAddrs, peakAddrs)
+	return nil
+}
+
+// Finish completes the region: under RelaxReductions it first runs the
+// replay pass, then partitions every candidate column, runs the §3.2/§3.3
+// stride stages over the online tuples, and assembles the Report exactly as
+// AnalyzeCtx does over a materialized graph — same obs counters, same
+// per-candidate Guard isolation, same degraded-slot and aggregation rules,
+// same sort. Callers Release the kernel afterwards either way.
 func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 	if k.err != nil {
 		return nil, k.err
 	}
-	rep := &Report{TotalNodes: int(k.n)}
 	if len(k.cands) == 0 {
-		return rep, nil
+		return &Report{TotalNodes: int(k.n)}, nil
 	}
 	if err := Canceled(ctx); err != nil {
 		return nil, err
 	}
+	if k.opts.RelaxReductions {
+		if err := k.relax(ctx); err != nil {
+			return nil, err
+		}
+	}
+	rep := &Report{TotalNodes: int(k.n)}
 	rec := k.rec
 	if rec != nil {
 		rec.Add(obs.DDGNodes, k.n)
@@ -861,7 +1006,7 @@ func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 		if len(k.touched) > 0 {
 			rec.Add(obs.ShadowPagesTouched, int64(len(k.touched)))
 		}
-		rec.Add(obs.TilesDispatched, 1) // the whole region is one fused sweep
+		rec.Add(obs.TilesDispatched, 1) // the whole region is one sweep
 	}
 
 	k.order = k.order[:0]
@@ -889,57 +1034,13 @@ func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 		}
 	}
 	stride.Stop()
-	sweepErr := errors.Join(unitErrs...)
-
-	totalOps := 0
-	totalPartitions := 0
-	unitVecOps, unitSubparts, unitSum := 0, 0, 0
-	nonVecOps, nonSubparts, nonSum := 0, 0, 0
-	for i := range results {
-		r := &results[i]
-		totalOps += r.Instances
-		totalPartitions += r.Partitions
-		unitVecOps += r.Unit.VecOps
-		unitSubparts += r.Unit.Subpartitions
-		unitSum += r.Unit.SumSizes
-		nonVecOps += r.NonUnit.VecOps
-		nonSubparts += r.NonUnit.Subpartitions
-		nonSum += r.NonUnit.SumSizes
-	}
-	rep.PerInstr = results
-	if rec != nil {
-		rec.Add(obs.PartitionsEmitted, int64(totalPartitions))
-		rec.Add(obs.UnitVecOps, int64(unitVecOps))
-		rec.Add(obs.NonUnitVecOps, int64(nonVecOps))
-	}
-
-	rep.TotalCandidateOps = totalOps
-	if totalPartitions > 0 {
-		rep.AvgConcurrency = float64(totalOps) / float64(totalPartitions)
-	}
-	if totalOps > 0 {
-		rep.UnitVecOpsPct = 100 * float64(unitVecOps) / float64(totalOps)
-		rep.NonUnitVecOpsPct = 100 * float64(nonVecOps) / float64(totalOps)
-	}
-	if unitSubparts > 0 {
-		rep.UnitAvgVecSize = float64(unitSum) / float64(unitSubparts)
-	}
-	if nonSubparts > 0 {
-		rep.NonUnitAvgVecSize = float64(nonSum) / float64(nonSubparts)
-	}
-
-	sort.SliceStable(rep.PerInstr, func(i, j int) bool {
-		if rep.PerInstr[i].Line != rep.PerInstr[j].Line {
-			return rep.PerInstr[i].Line < rep.PerInstr[j].Line
-		}
-		return rep.PerInstr[i].ID < rep.PerInstr[j].ID
-	})
-	return rep, sweepErr
+	rep.summarize(results, rec)
+	return rep, errors.Join(unitErrs...)
 }
 
 // finishCand runs the post-timestamp stages for one candidate column. The
 // instance handles handed to partition/stride are iota positions into the
-// column's parallel arrays; the mapping to the oracle's node indices is
+// column's parallel arrays; the mapping to the reference's node indices is
 // order-preserving, so every grouping and every group size is identical.
 func (k *StreamKernel) finishCand(ca *candCol) InstrReport {
 	nInst := len(ca.instTS)
@@ -964,13 +1065,12 @@ func (k *StreamKernel) finishCand(ca *candCol) InstrReport {
 			cp = t
 		}
 	}
-	isRed := ca.elig && nInst >= 3 && float64(ca.accum)/float64(nInst-1) >= 0.5
 	rep := InstrReport{
 		ID: ca.id, Line: in.Pos.Line, AssignID: in.AssignID, Text: in.String(),
 		Instances: nInst, Partitions: len(parts), CriticalPath: cp,
 		Unit:        StrideSummary{VecOps: unit.VecOps, Subpartitions: unit.Subpartitions, SumSizes: unit.SumSizes},
 		NonUnit:     StrideSummary{VecOps: non.VecOps, Subpartitions: non.Subpartitions, SumSizes: non.SumSizes},
-		IsReduction: isRed,
+		IsReduction: ca.isReduction(),
 	}
 	if len(parts) > 0 {
 		rep.AvgPartitionSize = float64(nInst) / float64(len(parts))

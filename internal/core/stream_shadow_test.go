@@ -242,9 +242,12 @@ func TestShadowPagedMatchesMap(t *testing.T) {
 		int64(maxShadowPages)<<shadowPageShift + 5, // overflow
 		ir.GlobalBase,                              // overwrite
 	}
-	run := func(opts Options, dopts ddg.Options) (*Report, int, int64) {
-		k := AcquireStreamKernel(mod, dopts, opts, nil)
+	run := func(mapShadow bool, dopts ddg.Options) (*Report, int, int64) {
+		k := AcquireStreamKernel(mod, dopts, Options{}, nil)
 		defer k.Release()
+		if mapShadow {
+			k.UseMapShadow()
+		}
 		for _, a := range addrs {
 			feedStore(t, k, a)
 			if err := k.Feed(shadowTestLoad, a); err != nil {
@@ -258,8 +261,8 @@ func TestShadowPagedMatchesMap(t *testing.T) {
 		return rep, k.PeakLiveAddresses(), k.PeakLiveBytes()
 	}
 	for _, dopts := range []ddg.Options{{}, {IncludeAntiOutput: true}} {
-		pagedRep, pagedAddrs, pagedBytes := run(Options{}, dopts)
-		mapRep, mapAddrs, mapBytes := run(Options{MapShadow: true}, dopts)
+		pagedRep, pagedAddrs, pagedBytes := run(false, dopts)
+		mapRep, mapAddrs, mapBytes := run(true, dopts)
 		if !reflect.DeepEqual(pagedRep, mapRep) {
 			t.Fatalf("paged report differs from map report (anti=%v):\npaged: %+v\nmap:   %+v",
 				dopts.IncludeAntiOutput, pagedRep, mapRep)

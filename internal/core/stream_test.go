@@ -4,14 +4,20 @@ package core_test
 // random programs and every graph-option variant, feeding a region's events
 // through AcquireStreamKernel/Feed/Finish must produce a Report
 // byte-identical (reflect.DeepEqual) to materializing the region with
-// ddg.BuildOpts and analyzing it with core.AnalyzeCtx. The Analyze-level and
+// ddg.BuildOpts and analyzing it with core.AnalyzeCtx, the paper-literal
+// reference — including under reduction relaxation, where the kernel
+// replays the region with the accumulator edges cut. The Analyze-level and
 // streaming-region-level differentials live in internal/pipeline.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
@@ -20,12 +26,53 @@ import (
 	"github.com/example/vectrace/internal/trace"
 )
 
-// streamTrace compiles and traces one generated program (the same random
-// shapes the fused differential uses, which cover streaming statements,
-// recurrences, reductions, and conditional stores).
+// genKernelProgram emits a random MiniC program mixing the shapes that
+// stress the kernel: streaming statements, ±1-offset recurrences, scalar
+// reductions, and conditional stores.
+func genKernelProgram(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	n := 10 + rng.Intn(8)
+	var b strings.Builder
+	arrays := []string{"A", "B", "C"}
+	for _, a := range arrays {
+		fmt.Fprintf(&b, "double %s[%d];\n", a, n)
+	}
+	b.WriteString("double s;\n\nvoid main() {\n  int i;\n")
+	fmt.Fprintf(&b, "  s = 0.25;\n  for (i = 0; i < %d; i++) {\n", n)
+	for _, a := range arrays {
+		fmt.Fprintf(&b, "    %s[i] = 0.5 + 0.125 * i;\n", a)
+	}
+	b.WriteString("  }\n")
+	stmts := 2 + rng.Intn(6)
+	for k := 0; k < stmts; k++ {
+		fmt.Fprintf(&b, "  for (i = 1; i < %d; i++) {\n", n-1)
+		dst := arrays[rng.Intn(len(arrays))]
+		src := arrays[rng.Intn(len(arrays))]
+		c := 0.1 + rng.Float64()
+		switch rng.Intn(4) {
+		case 0: // streaming
+			fmt.Fprintf(&b, "    %s[i] = %s[i] * %.3f + %s[i - 1];\n", dst, src, c, src)
+		case 1: // recurrence
+			fmt.Fprintf(&b, "    %s[i] = %s[i - 1] * %.3f + %s[i];\n", dst, dst, c, src)
+		case 2: // reduction
+			fmt.Fprintf(&b, "    s = s + %s[i] * %.3f;\n", src, c)
+		case 3: // conditional store
+			fmt.Fprintf(&b, "    if (%s[i] > %.3f) { %s[i] = %s[i + 1] + %.3f; }\n", src, c, dst, src, c)
+		}
+		b.WriteString("  }\n")
+	}
+	b.WriteString("  print(s);\n")
+	for _, a := range arrays {
+		fmt.Fprintf(&b, "  print(%s[2]);\n", a)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// streamTrace compiles and traces one generated program.
 func streamTrace(t *testing.T, seed int64) (*trace.Trace, string) {
 	t.Helper()
-	src := genFusedProgram(seed)
+	src := genKernelProgram(seed)
 	_, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("stream%d.c", seed), src)
 	if err != nil {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -46,7 +93,7 @@ func oneShot(t *testing.T, tr *trace.Trace, dopts ddg.Options, opts core.Options
 	return k.Finish(context.Background())
 }
 
-// materialized is the oracle: build the full graph, analyze it.
+// materialized is the reference: build the full graph, analyze it.
 func materialized(t *testing.T, tr *trace.Trace, dopts ddg.Options, opts core.Options) (*core.Report, error) {
 	t.Helper()
 	g, err := ddg.BuildOpts(tr, dopts)
@@ -99,14 +146,18 @@ func TestStreamKernelMatchesPerRegion(t *testing.T) {
 			for ri, r := range regions {
 				sub := tr.Slice(r)
 				for _, v := range streamDoptsVariants {
-					want, wantErr := materialized(t, sub, v.dopts, core.Options{})
-					got, gotErr := oneShot(t, sub, v.dopts, core.Options{})
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("seed %d loop %d region %d %s: error mismatch: %v vs %v", seed, loop.ID, ri, v.name, wantErr, gotErr)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d loop %d region %d %s: report differs\ngot:  %+v\nwant: %+v\nprogram:\n%s",
-							seed, loop.ID, ri, v.name, got, want, src)
+					for _, relax := range []bool{false, true} {
+						opts := core.Options{RelaxReductions: relax}
+						want, wantErr := materialized(t, sub, v.dopts, opts)
+						got, gotErr := oneShot(t, sub, v.dopts, opts)
+						if (wantErr == nil) != (gotErr == nil) {
+							t.Fatalf("seed %d loop %d region %d %s relax=%v: error mismatch: %v vs %v",
+								seed, loop.ID, ri, v.name, relax, wantErr, gotErr)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d loop %d region %d %s relax=%v: report differs\ngot:  %+v\nwant: %+v\nprogram:\n%s",
+								seed, loop.ID, ri, v.name, relax, got, want, src)
+						}
 					}
 				}
 			}
@@ -116,7 +167,7 @@ func TestStreamKernelMatchesPerRegion(t *testing.T) {
 
 // TestStreamKernelReductionFlag pins the online reduction detector against
 // the graph-based detector on the canonical reduction kernel shapes that
-// genFusedProgram emits, plus a loop with no reduction at all. (The flag is
+// genKernelProgram emits, plus a loop with no reduction at all. (The flag is
 // part of the DeepEqual above; this is the focused failure message.)
 func TestStreamKernelReductionFlag(t *testing.T) {
 	src := `double A[32];
@@ -231,5 +282,170 @@ func TestStreamKernelCancel(t *testing.T) {
 		if gotErr.Error() != wantErr.Error() {
 			t.Fatalf("cancel error text differs: %q vs %q", gotErr, wantErr)
 		}
+	}
+}
+
+// TestFusedMatchesOracleRandomPrograms checks the fused one-pass kernel
+// (events in, report out, no graph) against the per-candidate reference on
+// random programs: both reduction modes, the reference at worker counts
+// {1, 4, GOMAXPROCS}.
+func TestFusedMatchesOracleRandomPrograms(t *testing.T) {
+	for seed := int64(0); seed < 15; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			tr, src := streamTrace(t, seed)
+			g, err := ddg.Build(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, relax := range []bool{false, true} {
+				got, err := oneShot(t, tr, ddg.Options{}, core.Options{RelaxReductions: relax})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+					want := core.Analyze(g, core.Options{Workers: w, RelaxReductions: relax})
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("relax=%v reference workers=%d: kernel report differs\nprogram:\n%s\nreference: %+v\nkernel:    %+v",
+							relax, w, src, want, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFusedReductionRelaxationRegression pins the §4.1 reduction extension
+// on a dot-product kernel: the kernel's relaxed report must equal the
+// reference's, the reduction must be detected, and relaxation must turn
+// the serial chain into vectorizable work.
+func TestFusedReductionRelaxationRegression(t *testing.T) {
+	_, _, tr, err := pipeline.CompileAndTrace("dot.c", dotProductSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := map[bool]*core.Report{}
+	for _, relax := range []bool{false, true} {
+		opts := core.Options{RelaxReductions: relax}
+		want, err := materialized(t, tr, ddg.Options{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := oneShot(t, tr, ddg.Options{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("relax=%v: kernel differs from reference\ngot:  %+v\nwant: %+v", relax, got, want)
+		}
+		reports[relax] = got
+	}
+	base, relaxed := reports[false], reports[true]
+	foundReduction := false
+	for _, ir := range base.PerInstr {
+		if ir.IsReduction {
+			foundReduction = true
+		}
+	}
+	if !foundReduction {
+		t.Fatal("kernel lost the reduction flag")
+	}
+	if relaxed.UnitVecOpsPct <= base.UnitVecOpsPct {
+		t.Fatalf("relaxation did not increase unit-stride potential: %.1f%% -> %.1f%%",
+			base.UnitVecOpsPct, relaxed.UnitVecOpsPct)
+	}
+}
+
+// dotProductSrc accumulates a dot product through s += a[i]*b[i], the
+// store/load round-trip reduction shape.
+const dotProductSrc = `
+double a[64]; double b[64]; double s;
+void main() {
+  int i;
+  for (i = 0; i < 64; i++) { a[i] = 0.5 * i; b[i] = 0.25 * i; }
+  for (i = 0; i < 64; i++) { s = s + a[i] * b[i]; }
+  print(s);
+}`
+
+// TestStreamRelaxCancel: a context canceled during the relaxation replay
+// fails the region with the cancellation sentinels, not a partial report.
+func TestStreamRelaxCancel(t *testing.T) {
+	_, _, tr, err := pipeline.CompileAndTrace("dot.c", dotProductSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	k := core.AcquireStreamKernel(tr.Module, ddg.Options{}, core.Options{RelaxReductions: true}, nil)
+	defer k.Release()
+	for _, ev := range tr.Events {
+		if err := k.Feed(ev.ID, ev.Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	rep, err := k.Finish(ctx)
+	if rep != nil || !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Finish on a canceled context: report %v, err %v", rep, err)
+	}
+}
+
+// TestPagedShadowAllocsBeatMap is the VECTRACE_MEM_SMOKE gate on the paged
+// shadow memory: one kernel analyzing the same region over and over, the
+// paged table (whose pages are epoch-reset and kept across regions) must
+// not allocate more bytes per region than the plain map shadow. A change that quietly loses the page freelist or re-zeroes pages
+// per region shows up here as an allocation regression.
+func TestPagedShadowAllocsBeatMap(t *testing.T) {
+	if os.Getenv("VECTRACE_MEM_SMOKE") == "" {
+		t.Skip("set VECTRACE_MEM_SMOKE=1 to run the memory-regression smoke")
+	}
+	// One region whose events are dominated by an integer repetition loop
+	// storing to a scalar, plus a short FP recurrence over a[].
+	_, _, tr, err := pipeline.CompileAndTrace("smoke.c", `
+double a[8];
+int junk;
+void main() {
+  int t; int r; int i;
+  for (t = 0; t < 1; t++) {
+    for (r = 0; r < 16000; r++) { junk = junk + r; }
+    for (i = 1; i < 8; i++) { a[i] = a[i-1] * 0.5 + 0.25; }
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(mapShadow bool) float64 {
+		k := core.AcquireStreamKernel(tr.Module, ddg.Options{}, core.Options{Workers: 1}, nil)
+		defer k.Release()
+		region := func(tb testing.TB) {
+			if mapShadow {
+				k.UseMapShadow()
+			}
+			for _, ev := range tr.Events {
+				if err := k.Feed(ev.ID, ev.Addr); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if _, err := k.Finish(context.Background()); err != nil {
+				tb.Fatal(err)
+			}
+			k.ResetRegion()
+		}
+		region(t) // warm the kernel's tables before measuring
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				region(b)
+			}
+		})
+		return float64(res.AllocedBytesPerOp())
+	}
+	paged := measure(false)
+	mapped := measure(true)
+	t.Logf("alloc B/op: paged %.0f, map %.0f (%.2f×)", paged, mapped, paged/max(mapped, 1))
+	// 10% headroom absorbs benchmark jitter; the expected steady state is
+	// paged ≤ map (pages are pooled, map buckets are not).
+	if paged > 1.1*mapped {
+		t.Fatalf("paged shadow allocates %.2f× the map shadow (%.0f vs %.0f B/op) — page pooling regressed",
+			paged/mapped, paged, mapped)
 	}
 }

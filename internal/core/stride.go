@@ -199,7 +199,7 @@ func strideStats(g *ddg.Graph, parts []Partition, elemSize int64, sc *instrScrat
 // precisely per-source-partition. Processing leftovers partition by
 // partition (partitions arrive in increasing timestamp order) therefore
 // reproduces the former timestamp-keyed map grouping byte for byte while
-// needing no per-node timestamp array — which is what lets the fused
+// needing no per-node timestamp array — which is what lets the stream
 // kernel avoid materializing one.
 func strideStatsFn(tup tupleFn, parts []Partition, elemSize int64, sc *instrScratch) (unit, non StrideStats) {
 	for i := range parts {

@@ -5,10 +5,11 @@
 // (unit/zero-stride) memory access (§3.2), the non-unit constant-stride
 // wait-list analysis (§3.3), and the metrics reported in the paper's tables.
 //
-// The per-candidate sweep is embarrassingly parallel — Property 3.1 reads
-// the graph and writes only its own timestamp buffer — and Analyze fans it
-// out across a bounded worker pool (see parallel.go) while keeping output
-// byte-identical to the sequential order.
+// Production reports come from one engine, the stream kernel (stream.go),
+// which evaluates Algorithm 1 over a region's event stream without building
+// a graph. The graph recurrence in this file and AnalyzeCtx (report.go) is
+// the paper-literal reference: the Figure 1/2 rows and the baselines use
+// it, and the tests compare the kernel against it.
 package core
 
 import (
@@ -22,53 +23,21 @@ type Options struct {
 	// instruction itself. This is the extension the paper sketches in §3
 	// and §4.1 ("our approach could be extended to ignore dependences due
 	// to reductions, which would uncover these additional vectorization
-	// opportunities").
+	// opportunities"). The stream kernel buffers the region's events and
+	// replays them once with the accumulator edges cut.
 	RelaxReductions bool
-	// Workers bounds the analysis worker pool: the number of candidate
-	// tiles timestamped concurrently by Analyze (and, for callers that fan
-	// out over regions, the number of regions analyzed at once). 1 forces
-	// the sequential path; 0 or negative selects GOMAXPROCS. Output is
-	// identical for every setting.
-	Workers int
-	// TileSize controls the fused Algorithm-1 kernel's tile width: how many
-	// candidate instructions share one trace-order pass over the graph
-	// (see fused.go). 0 picks an automatic width — up to 64 candidates,
-	// shrunk on very large graphs so one tile's timestamp matrix stays
-	// within a fixed byte budget. Positive values force an exact width
-	// (the tests sweep {1, 2, 7, 64}). Negative values disable fusion and
-	// run the legacy per-candidate kernel, which is kept as the
-	// differential-testing oracle. Output is byte-identical for every
+	// Workers bounds the analysis worker pool: the number of regions
+	// analyzed at once (and, in the AnalyzeCtx reference, the number of
+	// candidates timestamped concurrently). 1 forces the sequential path;
+	// 0 or negative selects GOMAXPROCS. Output is identical for every
 	// setting.
-	TileSize int
+	Workers int
 	// Budget bounds the resources the analysis may consume (see Budget).
-	// The zero value imposes no analysis bound. A tight MaxAnalysisBytes
-	// shrinks the automatic tile width; exceeding it fails with an
-	// ErrResourceLimit-wrapped error rather than allocating past it. On the
-	// one-pass stream path the budget bounds the kernel's live working set
-	// (last-writer tables, shadow memory, instance arrays) instead of the
-	// tile matrix; exceeding it mid-region degrades that region only.
+	// The zero value imposes no analysis bound. On the stream kernel the
+	// budget bounds the live working set (last-writer tables, shadow
+	// memory, instance arrays, and the replay buffer under
+	// RelaxReductions); exceeding it mid-region degrades that region only.
 	Budget Budget
-	// Materialize forces the region-analysis pipeline to build the full
-	// per-region ddg.Graph and analyze it with AnalyzeCtx instead of the
-	// default one-pass stream kernel. The materialized path is the
-	// differential-testing oracle and remains mandatory for the analyses
-	// that genuinely need the whole graph: RelaxReductions re-timestamping,
-	// the critical-path/parallelism profiles, and the Kumar/Larus-style
-	// whole-graph baselines. Output is byte-identical either way.
-	Materialize bool
-	// MapShadow forces the one-pass stream kernel's legacy map-backed
-	// shadow memory (map[addr]*cell) instead of the default two-level paged
-	// shadow. The map path is the differential-testing oracle for the paged
-	// implementation; results, budget charging, and the
-	// shadow_peak_live_addresses gauge are identical either way. Only the
-	// shadow_pages_touched counter differs (zero under the map).
-	MapShadow bool
-	// OracleDispatch forces the interpreter's legacy per-instruction
-	// switch loop instead of the default precompiled-plan dispatcher when
-	// the pipeline traces a module (see interp.Config.Oracle). Output is
-	// bit-for-bit identical either way; the switch loop is the
-	// differential-testing oracle for the plan engine.
-	OracleDispatch bool
 }
 
 // Timestamps runs Algorithm 1 for static instruction id over the graph and

@@ -13,14 +13,12 @@
 // Because edges always point backwards in time, trace order is a
 // topological order of the DDG, which the timestamping analyses exploit.
 //
-// Since the one-pass stream kernel (internal/core.StreamKernel) became the
-// default region-analysis route, Build is the fallback rather than the hot
-// path: the Algorithm-1 sweep, partitioning, and stride statistics run
-// directly off the event stream without materializing a graph. The full
-// graph is still built for the analyses that genuinely need every node and
-// edge at once — critical-path extraction, the Kumar/Larus-style baselines,
-// graph export — and as the differential-testing oracle for the stream
-// kernel (core.Options.Materialize).
+// Production reports never build a graph: the one-pass stream kernel
+// (internal/core.StreamKernel) runs the Algorithm-1 sweep, partitioning,
+// and stride statistics directly off the event stream. The full graph is
+// built for the analyses that genuinely need every node and edge at once —
+// the Figure 1/2 rows, the Kumar/Larus-style baselines, graph export — and
+// as the paper-literal reference the stream kernel is tested against.
 package ddg
 
 import (

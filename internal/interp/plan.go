@@ -14,13 +14,12 @@
 // load/store) are fused into superinstructions. planLoop then dispatches
 // on a dense planOp byte with no per-step re-decoding.
 //
-// The plan dispatcher is bit-for-bit equivalent to loop(): same results,
-// same trace event sequence, same error texts at the same step boundaries,
-// same observability gauges at the same poll points. Fused entries perform
-// full per-sub-step bookkeeping (step count, step-limit check, cancellation
-// poll countdown) so resource-limit errors fire at exactly the oracle's
-// boundaries. loop() stays available behind Config.Oracle as the
-// differential oracle.
+// The plan dispatcher is bit-for-bit equivalent to the reference switch
+// loop (oracle_test.go): same results, same trace event sequence, same
+// error texts at the same step boundaries, same observability gauges at
+// the same poll points. Fused entries perform full per-sub-step
+// bookkeeping (step count, step-limit check, cancellation poll countdown)
+// so resource-limit errors fire at exactly the oracle's boundaries.
 package interp
 
 import (

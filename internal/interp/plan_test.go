@@ -101,6 +101,7 @@ void main() {
   for (i = 0; i < 32; i++) { A[i] = i * 2.0; }
   print(find(40.0)); print(find(41.0));
 }`},
+	{"listing1", kernels.Listing1(12).Source},
 	{"gauss_seidel", kernels.GaussSeidel(12, 3).Source},
 	{"pde_solver", kernels.PDESolver(10, 3).Source},
 }
@@ -124,8 +125,16 @@ func runDispatch(t *testing.T, src string, oracle, loops bool, sink interp.Trace
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	m := interp.New(mod, interp.Config{Oracle: oracle, CountLoopCycles: loops, Tracer: sink})
-	return m.Run("main")
+	return runEngine(interp.New(mod, interp.Config{CountLoopCycles: loops, Tracer: sink}), context.Background(), oracle)
+}
+
+// runEngine runs main on m through the reference switch loop (oracle) or
+// the plan dispatcher.
+func runEngine(m *interp.Machine, ctx context.Context, oracle bool) (*interp.Result, error) {
+	if oracle {
+		return m.RunOracle(ctx, "main")
+	}
+	return m.RunContext(ctx, "main")
 }
 
 // TestPlanOracleDifferential runs the corpus under all four dispatcher ×
@@ -203,7 +212,7 @@ void main() {
 		t.Fatal(err)
 	}
 	for limit := int64(1); limit <= total.Steps+1; limit++ {
-		_, oErr := interp.New(mod, interp.Config{Oracle: true, MaxSteps: limit}).Run("main")
+		_, oErr := interp.New(mod, interp.Config{MaxSteps: limit}).RunOracle(context.Background(), "main")
 		_, pErr := interp.New(mod, interp.Config{MaxSteps: limit}).Run("main")
 		if (oErr == nil) != (pErr == nil) {
 			t.Fatalf("limit %d: oracle err %v, plan err %v", limit, oErr, pErr)
@@ -229,7 +238,7 @@ func TestPlanCancelParity(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, oErr := interp.New(mod, interp.Config{Oracle: true}).RunContext(ctx, "main")
+	_, oErr := interp.New(mod, interp.Config{}).RunOracle(ctx, "main")
 	_, pErr := interp.New(mod, interp.Config{}).RunContext(ctx, "main")
 	if oErr == nil || pErr == nil {
 		t.Fatalf("want cancellation errors, got oracle %v, plan %v", oErr, pErr)
@@ -277,10 +286,8 @@ void main() { print(g(1.0)); }`, interp.Config{StackSize: 1 << 16}},
 			if err != nil {
 				t.Fatal(err)
 			}
-			oCfg, pCfg := tc.cfg, tc.cfg
-			oCfg.Oracle = true
-			_, oErr := interp.New(mod, oCfg).Run("main")
-			_, pErr := interp.New(mod, pCfg).Run("main")
+			_, oErr := interp.New(mod, tc.cfg).RunOracle(context.Background(), "main")
+			_, pErr := interp.New(mod, tc.cfg).Run("main")
 			if oErr == nil || pErr == nil {
 				t.Fatalf("want runtime errors, got oracle %v, plan %v", oErr, pErr)
 			}
@@ -298,7 +305,7 @@ func TestPlanSharedAcrossMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := interp.New(mod, interp.Config{Oracle: true, CountLoopCycles: true}).Run("main")
+	want, err := interp.New(mod, interp.Config{CountLoopCycles: true}).RunOracle(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +353,7 @@ func TestPlanBatchFlushOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	oSink := &interp.TraceSink{}
-	_, oErr := interp.New(mod, interp.Config{Oracle: true, Tracer: oSink}).Run("main")
+	_, oErr := interp.New(mod, interp.Config{Tracer: oSink}).RunOracle(context.Background(), "main")
 	pSink := &interp.TraceSink{}
 	_, pErr := interp.New(mod, interp.Config{Tracer: pSink}).Run("main")
 	if oErr == nil || pErr == nil || oErr.Error() != pErr.Error() {
@@ -368,7 +375,7 @@ func measureStepsPerSec(tb testing.TB, oracle bool, d time.Duration) float64 {
 	var steps int64
 	start := time.Now()
 	for time.Since(start) < d {
-		res, err := interp.New(mod, interp.Config{Oracle: oracle}).Run("main")
+		res, err := runEngine(interp.New(mod, interp.Config{}), context.Background(), oracle)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -378,7 +385,8 @@ func measureStepsPerSec(tb testing.TB, oracle bool, d time.Duration) float64 {
 }
 
 // TestPlanPerfSmoke is the gated regression floor on dispatch speed: plan
-// dispatch must beat the oracle loop by a comfortable margin (the steady
+// dispatch must beat the reference switch loop (oracle_test.go) by a
+// comfortable margin (the steady
 // ratio is ~1.7–1.9× plain; the floor leaves room for CI noise). Enabled
 // by VECTRACE_PERF_SMOKE=1.
 func TestPlanPerfSmoke(t *testing.T) {
@@ -409,12 +417,11 @@ func benchDispatch(b *testing.B, oracle, traced, loops bool) {
 	var steps int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := interp.Config{Oracle: oracle, CountLoopCycles: loops}
+		cfg := interp.Config{CountLoopCycles: loops}
 		if traced {
 			cfg.Tracer = &interp.TraceSink{}
 		}
-		m := interp.New(mod, cfg)
-		res, err := m.Run("main")
+		res, err := runEngine(interp.New(mod, cfg), context.Background(), oracle)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,12 +64,11 @@ type Spec struct {
 //
 // With spec.Instance < 0 every region is analyzed, fanned out across
 // spec.Core.WorkerCount() workers, and the reports come back in region
-// index order, identical for any worker count, tile width, and source.
-// Each region's analysis runs with Workers=1 but otherwise inherits
-// spec.Core. On the default one-pass route (see useOnePass) region events
-// flow from the feed into pooled stream kernels in bounded chunks, so no
-// region is ever materialized; otherwise each region's events are buffered
-// and analyzed through AnalyzeRegion when it closes.
+// index order, identical for any worker count and source. Each region's
+// analysis runs with Workers=1 but otherwise inherits spec.Core. Region
+// events flow from the feed into pooled stream kernels in bounded chunks,
+// so no region is ever materialized (under RelaxReductions the kernel
+// itself buffers its region for the replay pass).
 //
 // Failures degrade gracefully: a region whose analysis fails (an error,
 // an exhausted budget, even a panic) records its error in its own
@@ -112,7 +111,7 @@ func Analyze(ctx context.Context, src Source, spec Spec) ([]RegionReport, error)
 		if events != nil {
 			return trace.FeedRegions(ctx, mod, lm.ID, events, factory)
 		}
-		return runLive(ctx, mod, lm.ID, src.Budget, spec.Core.OracleDispatch, factory)
+		return runLive(ctx, mod, lm.ID, src.Budget, factory)
 	}
 	if want != nil {
 		return analyzeInstance(ctx, mod, spec, want, drive)
@@ -151,11 +150,11 @@ func (s *feedTracer) ExecBatch(events []interp.Event) {
 // tracer, returning the number of regions closed and the first failure.
 // An interpreter failure (budget, cancellation, runtime error) comes back
 // as the interpreter reported it; the feed only aborts the open regions.
-func runLive(ctx context.Context, mod *ir.Module, loopID int, budget core.Budget, oracle bool, factory trace.SinkFactory) (int, error) {
+func runLive(ctx context.Context, mod *ir.Module, loopID int, budget core.Budget, factory trace.SinkFactory) (int, error) {
 	feed := trace.NewRegionFeed(ctx, mod, loopID, factory)
 	sink := &feedTracer{feed: feed}
 	ictx, sp := obs.StartSpan(ctx, "interp")
-	_, err := interp.New(mod, interpConfig(budget, sink, true, oracle)).RunContext(ictx, "main")
+	_, err := interp.New(mod, interpConfig(budget, sink, true)).RunContext(ictx, "main")
 	sp.End()
 	if sink.err != nil {
 		return feed.Closed(), sink.err
@@ -421,17 +420,15 @@ func (s *chunkSink) Abort() {
 
 // analyzeRegions is Analyze's every-region path: drive pushes the events
 // through a RegionFeed whose sinks hand each open region's events to a
-// dedicated region worker — a stream kernel fed chunk by chunk on the
-// one-pass route, a buffer analyzed at close otherwise. Workers are bounded
-// by spec.Core.WorkerCount(); nested target regions (recursion into the
-// analyzed loop) oversubscribe the pool rather than block the feed, since
-// an open outer region can only drain while the feed advances.
+// dedicated region worker — a stream kernel fed chunk by chunk. Workers
+// are bounded by spec.Core.WorkerCount(); nested target regions (recursion
+// into the analyzed loop) oversubscribe the pool rather than block the
+// feed, since an open outer region can only drain while the feed advances.
 func analyzeRegions(ctx context.Context, mod *ir.Module, spec Spec, drive func(trace.SinkFactory) (int, error)) ([]RegionReport, error) {
 	rec := obs.FromContext(ctx)
 	workers := spec.Core.WorkerCount()
 	inner := spec.Core
 	inner.Workers = 1
-	onePass := useOnePass(inner)
 
 	var (
 		mu  sync.Mutex
@@ -460,23 +457,13 @@ func analyzeRegions(ctx context.Context, mod *ir.Module, spec Spec, drive func(t
 				<-sem
 			}
 		}()
-		var (
-			clock   regionClock
-			k       *core.StreamKernel
-			buf     []trace.Event
-			feedErr error
-		)
-		if onePass {
-			clock = startRegion(rec)
-			k = core.AcquireStreamKernel(mod, spec.DDG, inner, rec)
-			defer k.Release()
-		}
+		clock := startRegion(rec)
+		k := core.AcquireStreamKernel(mod, spec.DDG, inner, rec)
+		defer k.Release()
+		var feedErr error
 		events := 0
 		for chunk := range s.ch {
-			switch {
-			case k == nil:
-				buf = append(buf, chunk...)
-			case feedErr == nil:
+			if feedErr == nil {
 				// Chunks keep draining after a feed error (the region is
 				// degraded, not the stream): stopping would deadlock the feed.
 				sw := rec.StartTimer("tile-sweep")
@@ -491,32 +478,24 @@ func analyzeRegions(ctx context.Context, mod *ir.Module, spec Spec, drive func(t
 				sw.Stop()
 			}
 			events += len(chunk)
-			if k != nil {
+			if !inner.RelaxReductions {
 				d.outstanding.Add(-int64(len(chunk)))
 			}
 			d.put(chunk)
 		}
-		if k == nil {
-			// A buffered region stays retained until its analysis ends.
+		if inner.RelaxReductions {
+			// The kernel keeps the region's events for its replay pass:
+			// they stay retained until the analysis ends.
 			defer d.outstanding.Add(-int64(events))
 		}
 		if s.aborted {
-			if k != nil {
-				clock.abort()
-			}
+			clock.abort()
 			return
 		}
 		idx := s.idx
 		rr := RegionReport{Index: idx, Events: events}
 		var err error
 		switch {
-		case k == nil:
-			clock = startRegion(rec)
-			err = core.Guard(idx, "region", int64(idx), func() error {
-				rep, aerr := AnalyzeRegion(ctx, &trace.Trace{Module: mod, Events: buf}, spec.DDG, inner)
-				rr.Report = rep
-				return aerr
-			})
 		case feedErr != nil:
 			// The feed ran before the close index existed; patch the
 			// placeholder labels of any recovered panic.

@@ -4,8 +4,7 @@ package pipeline_test
 // — the live interpreter, a VTR1 stream, an indexed VTR2 container at any
 // scan fan-out, a VTR2 sequential walk, an in-memory slice — Analyze must
 // return the same reports and the same error texts, for every-region and
-// single-instance requests alike, on the one-pass route and on both
-// materialized fallbacks.
+// single-instance requests alike, with and without reduction relaxation.
 
 import (
 	"bytes"
@@ -71,7 +70,7 @@ void main() {
 `
 
 func TestAnalyzeSourcesAgree(t *testing.T) {
-	copts := []core.Options{{}, {RelaxReductions: true}, {TileSize: -1}}
+	copts := []core.Options{{}, {RelaxReductions: true}}
 	programs := map[string]string{"triangular": triangularSrc}
 	for seed := int64(500); seed < 506; seed++ {
 		programs[fmt.Sprintf("seed%d", seed)] = generateProgram(seed)
@@ -153,7 +152,7 @@ func TestAnalyzeInstanceFailureIsReturned(t *testing.T) {
 	const line = 7 // triangularSrc's inner loop: five regions
 	for _, co := range []core.Options{
 		{Budget: core.Budget{MaxAnalysisBytes: 256}},
-		{Materialize: true, Budget: core.Budget{MaxAnalysisBytes: 256}},
+		{RelaxReductions: true, Budget: core.Budget{MaxAnalysisBytes: 256}},
 	} {
 		for _, s := range []struct {
 			name        string
@@ -168,7 +167,7 @@ func TestAnalyzeInstanceFailureIsReturned(t *testing.T) {
 		} {
 			regs, err := pipeline.Analyze(context.Background(), s.src,
 				pipeline.Spec{Line: line, Instance: 2, Core: co, ScanWorkers: s.scanWorkers})
-			label := fmt.Sprintf("%s materialize=%v", s.name, co.Materialize)
+			label := fmt.Sprintf("%s relax=%v", s.name, co.RelaxReductions)
 			if len(regs) != 1 || regs[0].Err == nil {
 				t.Fatalf("%s: got %d reports, want one failed region", label, len(regs))
 			}

@@ -1,15 +1,18 @@
 package pipeline_test
 
-// Differential battery for the hot-path engine: the precompiled-plan
-// interpreter dispatch and the paged shadow memory must be invisible in
-// every output. Random programs run through the fully fused live pipeline
-// under every combination of {plan, oracle} dispatch × {paged, map} shadow
-// × worker count × tile width, and each combination's RegionReports and
-// rendered report text must be deeply equal to the all-legacy oracle. Error surfaces (interpreter step limits, analysis
-// budgets) and the RunStats counter contract are pinned the same way.
+// Differential battery for the hot path: the live pipeline — the
+// precompiled-plan interpreter feeding the stream kernel with its paged
+// shadow memory — must be invisible in every output. Random programs run
+// through it at every worker count, and each run's RegionReports and
+// rendered report text must equal the per-region graph reference. Error
+// surfaces (interpreter step limits, analysis budgets) and the RunStats
+// counter contract are pinned against the same analysis over a recorded
+// trace. The plan dispatcher's own reference is the switch loop in
+// internal/interp's tests; the paged shadow's is the map in internal/core's.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -17,24 +20,11 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
+	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/interp"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
 )
-
-// hotPathCombos enumerates the engine matrix: both dispatchers crossed with
-// both shadow implementations.
-type hotPathCombo struct {
-	name            string
-	oracle, mapShdw bool
-}
-
-var hotPathCombos = []hotPathCombo{
-	{"plan+paged", false, false},
-	{"plan+map", false, true},
-	{"oracle+paged", true, false},
-	{"oracle+map", true, true},
-}
 
 // renderHotRegions flattens RegionReports into the exact text `vectrace
 // analyze -instance -1` prints, so the comparison pins the golden bytes and
@@ -52,52 +42,35 @@ func renderHotRegions(regs []pipeline.RegionReport) string {
 	return b.String()
 }
 
-// TestHotPathDifferentialMatrix is the headline equivalence proof for this
-// PR's engines: for random programs, every loop, every engine combination,
-// every worker count, and both tile widths, the fused live pipeline returns
-// RegionReports deeply equal to the all-legacy oracle (switch-loop
-// dispatch, map shadow, sequential workers).
+// TestHotPathDifferentialMatrix is the headline equivalence proof for the
+// live pipeline: for random programs, every loop, and every worker count,
+// it returns RegionReports deeply equal to the graph reference over the
+// captured trace, and renders the same text.
 func TestHotPathDifferentialMatrix(t *testing.T) {
 	workerAxis := []int{1, 4, runtime.GOMAXPROCS(0)}
-	tileAxis := []int{1, 64}
 	const programs = 3
 	for seed := int64(900); seed < 900+programs; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			src := generateProgram(seed)
-			mod, err := pipeline.Compile(fmt.Sprintf("hot%d.c", seed), src)
+			mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("hot%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
 			}
 			live := pipeline.Source{Module: mod}
 			for _, line := range loopLines(mod) {
-				oopts := core.Options{OracleDispatch: true, MapShadow: true, Workers: 1, TileSize: 1}
-				oregs, err := analyzeAll(context.Background(), live, line, oopts)
-				if err != nil {
-					t.Fatalf("line %d: legacy oracle failed: %v", line, err)
-				}
-				golden := renderHotRegions(oregs)
-				for _, combo := range hotPathCombos {
-					for _, workers := range workerAxis {
-						for _, tile := range tileAxis {
-							copts := core.Options{
-								OracleDispatch: combo.oracle,
-								MapShadow:      combo.mapShdw,
-								Workers:        workers,
-								TileSize:       tile,
-							}
-							regs, err := analyzeAll(context.Background(), live, line, copts)
-							label := fmt.Sprintf("line %d %s workers=%d tile=%d", line, combo.name, workers, tile)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if !reflect.DeepEqual(regs, oregs) {
-								t.Fatalf("%s: region reports diverge from the oracle\nprogram:\n%s", label, src)
-							}
-							if got := renderHotRegions(regs); got != golden {
-								t.Fatalf("%s: rendered report text diverges from the oracle", label)
-							}
-						}
+				want := referenceRegions(t, tr, line, ddg.Options{}, core.Options{})
+				golden := renderHotRegions(want)
+				for _, workers := range workerAxis {
+					regs, err := analyzeAll(context.Background(), live, line, core.Options{Workers: workers})
+					label := fmt.Sprintf("line %d workers=%d", line, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(regs, want) {
+						t.Fatalf("%s: region reports diverge from the reference\nprogram:\n%s", label, src)
+					}
+					if got := renderHotRegions(regs); got != golden {
+						t.Fatalf("%s: rendered report text diverges from the reference", label)
 					}
 				}
 			}
@@ -105,89 +78,77 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestHotPathErrorTextParity pins the error surface: a budget exhausted by
-// the interpreter must produce byte-identical error text under both
-// dispatch engines, and a per-region analysis budget failure must produce
-// byte-identical degradation under both shadow implementations.
+// TestHotPathErrorTextParity pins the error surface: a step budget
+// exhausted during live analysis reports the interpreter's own error text,
+// and a per-region analysis budget failure degrades the live analysis
+// exactly like the analysis of the recorded trace.
 func TestHotPathErrorTextParity(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, _, tr, err := pipeline.CompileAndTrace("fault.c", faultSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("interp-step-limit", func(t *testing.T) {
 		budget := core.Budget{MaxSteps: 100}
-		var texts []string
-		for _, oracle := range []bool{true, false} {
-			_, err := analyzeAll(context.Background(), pipeline.Source{Module: mod, Budget: budget},
-				faultInnerLine, core.Options{OracleDispatch: oracle})
-			if err == nil {
-				t.Fatalf("oracle=%v: step limit of %d not enforced", oracle, budget.MaxSteps)
-			}
-			texts = append(texts, err.Error())
+		_, err := analyzeAll(context.Background(), pipeline.Source{Module: mod, Budget: budget}, faultInnerLine, core.Options{})
+		if !errors.Is(err, core.ErrResourceLimit) {
+			t.Fatalf("step limit of %d not enforced: %v", budget.MaxSteps, err)
 		}
-		if texts[0] != texts[1] {
-			t.Fatalf("step-limit error text differs:\noracle: %s\nplan:   %s", texts[0], texts[1])
+		_, runErr := pipeline.Run(context.Background(), mod, true, budget)
+		if runErr == nil || err.Error() != runErr.Error() {
+			t.Fatalf("step-limit error text differs:\nanalysis:    %v\ninterpreter: %v", err, runErr)
 		}
 	})
 
 	t.Run("analysis-budget", func(t *testing.T) {
-		budget := core.Budget{MaxAnalysisBytes: 256}
+		copts := core.Options{Workers: 1, Budget: core.Budget{MaxAnalysisBytes: 256}}
 		var rendered []string
-		for _, mapShdw := range []bool{true, false} {
-			copts := core.Options{MapShadow: mapShdw, Workers: 1, Budget: budget}
-			regs, err := analyzeAll(context.Background(), pipeline.Source{Module: mod}, faultInnerLine, copts)
+		for _, src := range []pipeline.Source{{Module: mod}, sliceSource(tr)} {
+			regs, err := analyzeAll(context.Background(), src, faultInnerLine, copts)
 			if err == nil {
-				t.Fatalf("mapShadow=%v: %d-byte analysis budget not enforced", mapShdw, budget.MaxAnalysisBytes)
+				t.Fatalf("%d-byte analysis budget not enforced", copts.Budget.MaxAnalysisBytes)
 			}
 			rendered = append(rendered, renderHotRegions(regs)+"\nsummary: "+err.Error())
 		}
 		if rendered[0] != rendered[1] {
-			t.Fatalf("budget degradation differs between shadows:\nmap:\n%s\npaged:\n%s", rendered[0], rendered[1])
+			t.Fatalf("budget degradation differs:\nlive:\n%s\nrecorded:\n%s", rendered[0], rendered[1])
 		}
 	})
 }
 
-// TestHotPathCounterContract runs the fused live pipeline under fresh
-// recorders for the all-new and all-legacy engines and checks (a) the
-// shared RunStats counters — region lifecycle, graph size, analysis output,
-// interpreter steps — are identical, and (b) the engine-specific counters
-// diverge exactly as documented: interp_batched_events and
-// shadow_pages_touched are positive on the new engines and zero on the
-// legacy ones.
+// TestHotPathCounterContract runs the live pipeline and the analysis of
+// the recorded trace under fresh recorders and checks (a) the shared
+// RunStats counters — region lifecycle, graph size, analysis output — are
+// identical, and (b) the engine counters register: the plan dispatcher
+// delivers batched events and the paged shadow touches pages.
 func TestHotPathCounterContract(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, _, tr, err := pipeline.CompileAndTrace("fault.c", faultSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(copts core.Options) *obs.Recorder {
+	run := func(src pipeline.Source) *obs.Recorder {
 		rec := obs.New()
 		ctx := obs.WithRecorder(context.Background(), rec)
-		if _, err := analyzeAll(ctx, pipeline.Source{Module: mod}, faultInnerLine, copts); err != nil {
+		if _, err := analyzeAll(ctx, src, faultInnerLine, core.Options{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		return rec
 	}
-	newRec := run(core.Options{Workers: 2})
-	oldRec := run(core.Options{OracleDispatch: true, MapShadow: true, Workers: 2})
+	liveRec := run(pipeline.Source{Module: mod})
+	recordedRec := run(sliceSource(tr))
 
-	parity := append([]obs.Counter{obs.InterpSteps}, diffCounterParity...)
-	for _, ctr := range parity {
-		if n, o := newRec.Get(ctr), oldRec.Get(ctr); n != o {
-			t.Errorf("counter %s: new engines %d, legacy %d", ctr.Name(), n, o)
+	for _, ctr := range diffCounterParity {
+		if l, r := liveRec.Get(ctr), recordedRec.Get(ctr); l != r {
+			t.Errorf("counter %s: live %d, recorded %d", ctr.Name(), l, r)
 		}
 	}
-	if got := newRec.Get(obs.InterpBatchedEvents); got == 0 {
+	if got := liveRec.Get(obs.InterpBatchedEvents); got == 0 {
 		t.Error("plan dispatch delivered no batched events")
 	}
-	if got := oldRec.Get(obs.InterpBatchedEvents); got != 0 {
-		t.Errorf("oracle dispatch recorded %d batched events, want 0", got)
-	}
-	if got := newRec.Get(obs.ShadowPagesTouched); got == 0 {
-		t.Error("paged shadow touched no pages")
-	}
-	if got := oldRec.Get(obs.ShadowPagesTouched); got != 0 {
-		t.Errorf("map shadow recorded %d touched pages, want 0", got)
+	for name, rec := range map[string]*obs.Recorder{"live": liveRec, "recorded": recordedRec} {
+		if got := rec.Get(obs.ShadowPagesTouched); got == 0 {
+			t.Errorf("%s: paged shadow touched no pages", name)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package pipeline_test
 // Differential observability tests: attaching an obs.Recorder to the
 // context must not change a single byte of the analysis output — same
 // reports, same errors — for both the in-memory and streaming paths, across
-// worker counts and tile widths. Separately, the counters the hooks feed
+// worker counts and with reduction relaxation. Separately, the counters the hooks feed
 // must cohere with the returned reports (every region started is completed
 // or failed, DDG totals match the graphs, stage spans are present).
 
@@ -40,7 +40,7 @@ func renderRegions(regs []pipeline.RegionReport, err error) string {
 
 // TestObservedOutputIdentical is the tentpole's differential guarantee:
 // with and without a recorder, in-memory and streaming, workers {1, 4},
-// tiles {0, 2, -1} — one rendered artifact.
+// relaxation off and on — one rendered artifact.
 func TestObservedOutputIdentical(t *testing.T) {
 	const srcName = "obsdiff.c"
 	src := generateProgram(3)
@@ -51,9 +51,9 @@ func TestObservedOutputIdentical(t *testing.T) {
 	encoded := encodeTrace(t, tr)
 	for _, lm := range mod.Loops {
 		for _, workers := range []int{1, 4} {
-			for _, tile := range []int{0, 2, -1} {
-				copts := core.Options{Workers: workers, TileSize: tile}
-				name := fmt.Sprintf("line%d/w%d/t%d", lm.Line, workers, tile)
+			for _, relax := range []bool{false, true} {
+				copts := core.Options{Workers: workers, RelaxReductions: relax}
+				name := fmt.Sprintf("line%d/w%d/relax=%v", lm.Line, workers, relax)
 
 				plainRegs, plainErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, copts)
 				plain := renderRegions(plainRegs, plainErr)

@@ -24,17 +24,14 @@ import (
 )
 
 // interpConfig maps a core.Budget onto the interpreter's execution limits,
-// leaving the interpreter defaults in place for unset fields. oracle selects
-// the legacy switch-loop dispatcher instead of the precompiled plan (see
-// core.Options.OracleDispatch); output is bit-for-bit identical either way.
-func interpConfig(b core.Budget, tracer interp.Tracer, countLoops, oracle bool) interp.Config {
+// leaving the interpreter defaults in place for unset fields.
+func interpConfig(b core.Budget, tracer interp.Tracer, countLoops bool) interp.Config {
 	return interp.Config{
 		Tracer:          tracer,
 		CountLoopCycles: countLoops,
 		MaxSteps:        b.MaxSteps,
 		MaxDepth:        b.MaxDepth,
 		StackSize:       b.MaxStackBytes,
-		Oracle:          oracle,
 	}
 }
 
@@ -77,7 +74,7 @@ func CompileCtx(ctx context.Context, filename, src string) (*ir.Module, error) {
 func Run(ctx context.Context, mod *ir.Module, countLoops bool, budget core.Budget) (*interp.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "interp")
 	defer sp.End()
-	m := interp.New(mod, interpConfig(budget, nil, countLoops, false))
+	m := interp.New(mod, interpConfig(budget, nil, countLoops))
 	return m.RunContext(ctx, "main")
 }
 
@@ -96,7 +93,7 @@ func Trace(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.Res
 	sink := sinkPool.Get().(*interp.TraceSink)
 	sink.Reset()
 	defer sinkPool.Put(sink)
-	m := interp.New(mod, interpConfig(budget, sink, true, false))
+	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, nil, err
@@ -146,33 +143,15 @@ type RegionReport struct {
 	Elapsed time.Duration
 }
 
-// useOnePass reports whether region analysis runs the default one-pass
-// stream kernel (ingest→analyze fused, no materialized graph) or falls back
-// to building the full per-region ddg.Graph. The fallback covers the cases
-// that genuinely need the whole graph — RelaxReductions re-timestamps with
-// graph-wide reduction cuts, and the negative-TileSize legacy oracle — plus
-// an explicit opts.Materialize request (the differential-testing oracle).
-// Output is byte-identical on both routes.
-func useOnePass(copts core.Options) bool {
-	return !copts.Materialize && !copts.RelaxReductions && copts.TileSize >= 0
-}
-
-// AnalyzeRegion analyzes one region sub-trace through the default route:
-// the one-pass stream kernel when copts allows it (see useOnePass), the
-// materialized ddg.Graph otherwise. It is the single-region building block
-// behind Analyze and the report package's representative-region sampling;
-// both routes produce byte-identical reports. Cancellation is polled every
-// 4096 events, but only from the second poll window on — regions shorter
-// than that behave exactly like the materialized core.AnalyzeCtx, which for
-// a candidate-free region succeeds even on a canceled context.
+// AnalyzeRegion analyzes one region sub-trace — or a whole trace, for the
+// whole-program views — on the stream kernel: the events are fed in trace
+// order and the kernel's report returned, without building a graph. It is
+// the single-region building block behind Analyze, the report package's
+// representative-region sampling, and whole-program analysis. Cancellation
+// is polled every 4096 events, but only from the second poll window on, so
+// a candidate-free region shorter than that succeeds even on a canceled
+// context, exactly like the graph reference core.AnalyzeCtx.
 func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
-	if !useOnePass(copts) {
-		g, err := ddg.BuildOpts(sub, dopts)
-		if err != nil {
-			return nil, err
-		}
-		return core.AnalyzeCtx(ctx, g, copts)
-	}
 	rec := obs.FromContext(ctx)
 	k := core.AcquireStreamKernel(sub.Module, dopts, copts, rec)
 	defer k.Release()

@@ -75,7 +75,7 @@ func Record(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Budget
 		return nil, fmt.Errorf("pipeline: unknown trace format %q (want %s or %s)", format, trace.FormatVTR1, trace.FormatVTR2)
 	}
 	sink := &writerSink{w: ew}
-	m := interp.New(mod, interpConfig(budget, sink, true, false))
+	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -39,8 +40,12 @@ const repeatedKernelLoopLine = 7
 
 // peakLiveBytes runs f while sampling the live heap, returning the observed
 // peak growth over the pre-run baseline. Sampling is coarse, but the
-// in-memory/streaming gap it has to resolve is an order of magnitude.
+// in-memory/streaming gap it has to resolve is several-fold. The collector
+// runs at GOGC=10 meanwhile, so the heap tracks live data: at the default
+// 100 the pacer's headroom over whatever the caller keeps resident (a whole
+// captured trace) would dominate a small working set.
 func peakLiveBytes(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

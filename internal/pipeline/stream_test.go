@@ -3,9 +3,7 @@ package pipeline_test
 // Streaming-vs-in-memory equivalence: Analyze over a decoded VTR1 stream
 // must produce byte-identical reports to Analyze over the resident slice,
 // for arbitrary generated programs, every loop, and every worker count —
-// and, since per-region analysis runs through the fused tiled kernel,
-// across tile widths (including the legacy per-candidate oracle,
-// TileSize < 0, which both paths must also match).
+// and both must match the per-region graph reference.
 
 import (
 	"bytes"
@@ -15,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
+	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -32,10 +31,6 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 	const programs = 12
 	workerCounts := []int{1, 3, 8}
-	// Tile widths cycle with (seed, workers) rather than multiplying the
-	// matrix: every width — auto, the test widths, and the per-candidate
-	// oracle — is exercised against several programs and worker counts.
-	tileSizes := []int{0, 1, 2, 7, 64, -1}
 	for seed := int64(0); seed < programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -46,18 +41,13 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 			}
 			encoded := encodeTrace(t, tr)
 			for _, lm := range mod.Loops {
-				// Region-level oracle: the sequential per-candidate kernel.
-				oracle, oracleErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, core.Options{Workers: 1, TileSize: -1})
-				for wi, w := range workerCounts {
-					copts := core.Options{Workers: w, TileSize: tileSizes[(int(seed)+wi)%len(tileSizes)]}
+				reference := referenceRegions(t, tr, lm.Line, ddg.Options{}, core.Options{})
+				for _, w := range workerCounts {
+					copts := core.Options{Workers: w}
 					want, wantErr := analyzeAll(context.Background(), sliceSource(tr), lm.Line, copts)
-					if (wantErr == nil) != (oracleErr == nil) {
-						t.Fatalf("loop line %d tile %d: oracle err %v, fused err %v",
-							lm.Line, copts.TileSize, oracleErr, wantErr)
-					}
-					if wantErr == nil && !reflect.DeepEqual(want, oracle) {
-						t.Fatalf("loop line %d tile %d workers %d: fused region reports differ from per-candidate oracle",
-							lm.Line, copts.TileSize, w)
+					if wantErr == nil && !reflect.DeepEqual(want, reference) {
+						t.Fatalf("loop line %d workers %d: region reports differ from the graph reference",
+							lm.Line, w)
 					}
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
 					got, gotErr := analyzeAll(context.Background(), pipeline.Source{Module: mod, Events: dec}, lm.Line, copts)

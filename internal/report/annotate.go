@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/interp"
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/profile"
 	"github.com/example/vectrace/internal/staticvec"
 	"github.com/example/vectrace/internal/trace"
@@ -29,11 +31,10 @@ type LineAnnotation struct {
 // AnnotateSource runs the whole-program analysis and attaches per-line
 // annotations, the "point the expert at the right region" view of §4.2.
 func AnnotateSource(tr *trace.Trace, opts core.Options) ([]LineAnnotation, error) {
-	g, err := ddg.Build(tr)
+	rep, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep := core.Analyze(g, opts)
 
 	byLine := make(map[int]*LineAnnotation)
 	type acc struct {

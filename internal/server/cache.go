@@ -101,8 +101,8 @@ func (c *resultCache) evictLocked() {
 
 // cacheKey derives the content address of a job: a SHA-256 over the job
 // kind, the output-affecting config fields, and the uploaded inputs.
-// Tuning knobs that provably do not change output bytes — workers, tile
-// width, scan workers — are excluded so differently-tuned submissions of
+// Tuning knobs that provably do not change output bytes — workers, scan
+// workers, and the ignored tile field — are excluded so differently-tuned submissions of
 // the same work coalesce. Budgets and deadlines are excluded too: they
 // only influence *whether* a job succeeds, and failures are never cached.
 func cacheKey(spec JobSpec, source string, payload []byte) string {

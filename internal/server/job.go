@@ -77,9 +77,12 @@ type JobSpec struct {
 	Instance int `json:"instance,omitempty"`
 	// Table selects the table (1–3) for table jobs.
 	Table int `json:"table,omitempty"`
-	// Workers / Tile / ScanWorkers tune the analysis exactly like the CLI
-	// flags of the same names; output bytes are identical for any values.
-	Workers     int `json:"workers,omitempty"`
+	// Workers / ScanWorkers tune the analysis exactly like the CLI flags
+	// of the same names; output bytes are identical for any values.
+	Workers int `json:"workers,omitempty"`
+	// Tile is accepted and ignored. It selected the tile width of an
+	// analysis engine that no longer exists; the field stays so existing
+	// clients are not rejected as sending an unknown field.
 	Tile        int `json:"tile,omitempty"`
 	ScanWorkers int `json:"scan_workers,omitempty"`
 	// RelaxReductions / IntOps select the analysis variants.
@@ -156,7 +159,6 @@ func (sp *JobSpec) coreOptions(b core.Budget) core.Options {
 	return core.Options{
 		RelaxReductions: sp.RelaxReductions,
 		Workers:         sp.Workers,
-		TileSize:        sp.Tile,
 		Budget:          b,
 	}
 }

@@ -326,11 +326,19 @@ func (s *Server) runJob(j *Job) {
 		s.rec.GaugeDec(obs.QueueDepth)
 		return
 	}
+	// The slot is freed exactly once: before the waiters wake on the
+	// normal path (a client that resubmits as soon as Done fires must find
+	// it free), or by the deferred call if the body panics first.
 	var dur time.Duration
-	defer func() {
-		s.queue.release(dur)
-		s.rec.GaugeDec(obs.QueueDepth)
-	}()
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			s.queue.release(dur)
+			s.rec.GaugeDec(obs.QueueDepth)
+		}
+	}
+	defer release()
 
 	// The queue wait becomes a synthetic span under the job's root: the
 	// trace tree decomposes submit→terminal into admission-wait plus the
@@ -437,6 +445,7 @@ func (s *Server) runJob(j *Job) {
 		"job", j.ID, "trace_id", j.TraceID(), "state", state,
 		"cache_hit", hit, "wait_ms", wait.Milliseconds(), "run_ms", dur.Milliseconds(),
 		"error", detail)
+	release()
 	if finished {
 		j.wake()
 	}

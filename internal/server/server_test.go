@@ -508,6 +508,24 @@ func TestCancelQueuedResubmit(t *testing.T) {
 	}
 }
 
+// TestResubmitOnDoneFindsFreeSlot is the regression test for waking a
+// job's waiters before its queue slot was freed: a client that resubmits
+// the moment Done fires must be admitted, and the depth must already read
+// zero, even on a one-slot queue.
+func TestResubmitOnDoneFindsFreeSlot(t *testing.T) {
+	s := newTestServer(t, Config{Queue: 1, Workers: 1})
+	for i := 0; i < 300; i++ {
+		j, err := s.Submit(JobSpec{Line: sampleLine}, sampleProgram, nil)
+		if err != nil {
+			t.Fatalf("cycle %d: submit refused right after the previous job's Done: %v", i, err)
+		}
+		<-j.Done()
+		if d := s.QueueDepth(); d != 0 {
+			t.Fatalf("cycle %d: queue depth %d after Done, want 0", i, d)
+		}
+	}
+}
+
 func waitState(t testing.TB, j *Job, want string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
