@@ -19,3 +19,27 @@ func (k *StreamKernel) UseMapShadow() { k.mapShadow = true }
 // pool, so allocation tests see one kernel's steady state whatever the
 // garbage collector does to the pool.
 func (k *StreamKernel) ResetRegion() { k.reset() }
+
+// StrideStage runs the two stride-stage implementations over the same
+// keys, reusing their scratch across calls the way a kernel does.
+type StrideStage struct {
+	kernel  strideScratch
+	literal instrScratch
+}
+
+// Kernel is the stream kernel's stats-only stride stage. keys is indexed by
+// the partitions' instance handles.
+func (s *StrideStage) Kernel(keys [][3]int64, parts []Partition, elemSize int64) (unit, non StrideStats) {
+	return s.kernel.stats(keys, parts, elemSize)
+}
+
+// Literal is the graph reference's paper-literal §3.2/§3.3 scans.
+func (s *StrideStage) Literal(keys [][3]int64, parts []Partition, elemSize int64) (unit, non StrideStats) {
+	return strideStatsFn(func(n int32) [3]int64 { return keys[n] }, parts, elemSize, &s.literal)
+}
+
+// RowMaxInto and ExtendRow expose the kernel's timestamp-row primitives.
+var (
+	RowMaxInto = rowMaxInto
+	ExtendRow  = extendRow
+)

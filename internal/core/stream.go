@@ -20,9 +20,10 @@ package core
 //     partitioning and stride stages consume.
 //
 // Columns are assigned lazily, in order of first dynamic appearance, and
-// rows are extended lazily: a row written when the width was w' < w
-// zero-extends to width w, which is exact — a value produced before a
-// candidate's first instance has timestamp 0 for that candidate.
+// rows are extended lazily: a row narrower than the column count reads as
+// zero in the columns it lacks, which is exact — a value produced before a
+// candidate's first instance has timestamp 0 for that candidate. Rows are
+// therefore only as wide as their widest predecessor (see rowMaxInto).
 //
 // Options.RelaxReductions takes two passes over the same events, because
 // one causal pass cannot decide whether to cut an instance's accumulator
@@ -103,8 +104,8 @@ type candCol struct {
 	// that load's address, which is the operand's tup entry.
 	carry []uint8
 	// tup holds each instance's memory tuple; tup[k][0] stays ddg.NoAddr
-	// until the instance's first store patches it (mapped to the paper's
-	// artificial address 0 only when the stride stage reads it).
+	// until the instance's first store patches it (finishCand maps what is
+	// left to the paper's artificial address 0).
 	tup [][3]int64
 }
 
@@ -178,6 +179,18 @@ type shadowPage struct {
 	slots [shadowPageSpan]shadowSlot
 }
 
+// streamInstr is the part of one static instruction Feed reads for every
+// opcode but call and ret, copied into a flat per-instruction table when the
+// kernel's module changes: one indexed load per event instead of InstrAt's
+// four dependent ones.
+type streamInstr struct {
+	fn   *ir.Function
+	x, y ir.Operand
+	dst  ir.Reg
+	op   ir.Opcode
+	cand bool // a candidate under the kernel's policy
+}
+
 // StreamKernel runs the one-pass analysis of a single region: feed
 // the region's events in trace order, then Finish. Kernels are checked out
 // of a pool (AcquireStreamKernel / Release) so successive regions reuse the
@@ -192,10 +205,12 @@ type StreamKernel struct {
 	rec   *obs.Recorder
 
 	// Candidate policy cache, rebuilt when the module or the candidate set
-	// changes: colOf maps static instruction → active column (-1 when the
-	// instruction has no instances yet this region), kmax bounds the width.
+	// changes: instrs is the flat instruction table, colOf maps static
+	// instruction → active column (-1 when the instruction has no instances
+	// yet this region), kmax bounds the width.
 	pmod     *ir.Module
 	pints    bool
+	instrs   []streamInstr
 	colOf    []int32
 	kmax     int
 	rowBytes int64
@@ -223,6 +238,7 @@ type StreamKernel struct {
 	iota      []int32
 	order     []int32
 	fin       instrScratch
+	stride    strideScratch
 
 	// RelaxReductions state: the region's buffered events, and during the
 	// replay the per-column cut plan (nil entry: column not relaxed).
@@ -266,13 +282,17 @@ func AcquireStreamKernel(mod *ir.Module, dopts ddg.Options, opts Options, rec *o
 			k.colOf = make([]int32, mod.NumInstrs)
 		}
 		k.colOf = k.colOf[:mod.NumInstrs]
+		k.instrs = k.instrs[:0]
 		kmax := 0
 		for id := 0; id < mod.NumInstrs; id++ {
 			k.colOf[id] = -1
 			in := mod.InstrAt(int32(id))
-			if in.IsCandidate() || (dopts.CharacterizeInts && in.IsIntCandidate()) {
+			cand := in.IsCandidate() || (dopts.CharacterizeInts && in.IsIntCandidate())
+			if cand {
 				kmax++
 			}
+			k.instrs = append(k.instrs, streamInstr{fn: mod.FuncOfInstr(int32(id)), x: in.X, y: in.Y,
+				dst: in.Dst, op: in.Op, cand: cand})
 		}
 		k.kmax = kmax
 	}
@@ -400,48 +420,61 @@ func (k *StreamKernel) freeRow(r []int32) {
 	k.credit(k.rowBytes)
 }
 
-// rowMaxInto fills dst with the elementwise maximum of rows at width w and
-// returns dst[:w]. Rows shorter than w contribute zero in the missing
-// columns (the lazy-width invariant). dst may alias any source row: every
-// column is read from all sources before it is written.
+// rowMaxInto fills dst with the elementwise maximum of rows and returns it
+// at the width of the widest source row, capped at w. Missing columns read
+// as zero (the lazy-width invariant), so a result narrower than w is exact,
+// and a value no candidate reaches keeps an empty row. dst may alias any
+// source row: every column is read from all sources before it is written.
 func rowMaxInto(dst []int32, w int, rows [][]int32) []int32 {
-	dst = dst[:w]
 	switch len(rows) {
 	case 0:
-		for c := range dst {
-			dst[c] = 0
-		}
+		return dst[:0]
 	case 1:
 		r := rows[0]
 		n := min(len(r), w)
+		dst = dst[:n]
 		copy(dst, r[:n])
-		for c := n; c < w; c++ {
-			dst[c] = 0
-		}
+		return dst
 	case 2:
 		a, b := rows[0], rows[1]
-		for c := 0; c < w; c++ {
-			var m int32
-			if c < len(a) {
-				m = a[c]
-			}
-			if c < len(b) && b[c] > m {
-				m = b[c]
-			}
-			dst[c] = m
+		if len(a) < len(b) {
+			a, b = b, a
 		}
-	default:
-		for c := 0; c < w; c++ {
-			var m int32
-			for _, r := range rows {
-				if c < len(r) && r[c] > m {
-					m = r[c]
-				}
-			}
-			dst[c] = m
+		n := min(len(a), w)
+		dst = dst[:n]
+		m := min(len(b), n)
+		for c := 0; c < m; c++ {
+			dst[c] = max(a[c], b[c])
 		}
+		copy(dst[m:], a[m:n])
+		return dst
+	}
+	n := 0
+	for _, r := range rows {
+		n = max(n, len(r))
+	}
+	n = min(n, w)
+	dst = dst[:n]
+	for c := 0; c < n; c++ {
+		var m int32
+		for _, r := range rows {
+			if c < len(r) && r[c] > m {
+				m = r[c]
+			}
+		}
+		dst[c] = m
 	}
 	return dst
+}
+
+// extendRow zero-fills row out to column col, so the candidate whose column
+// it is can write its own timestamp there.
+func extendRow(row []int32, col int32) []int32 {
+	if n := len(row); int(col) >= n {
+		row = row[:col+1]
+		clear(row[n:])
+	}
+	return row
 }
 
 // val resolves an operand to its live producer descriptor, mirroring the
@@ -592,10 +625,11 @@ func (k *StreamKernel) newCell(addr int64) *shadowCell {
 // computed means the new column is inside the current width, where every
 // predecessor zero-extends — exactly timestamp 0, the pre-first-instance
 // value.
-func (k *StreamKernel) colFor(id int32, in *ir.Instr) int32 {
+func (k *StreamKernel) colFor(id int32) int32 {
 	if c := k.colOf[id]; c >= 0 {
 		return c
 	}
+	in := k.mod.InstrAt(id)
 	c := int32(len(k.cands))
 	k.colOf[id] = c
 	if len(k.cands) < cap(k.cands) {
@@ -626,22 +660,22 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		k.replay = append(k.replay, trace.Event{ID: id, Addr: addr})
 		k.charge(streamEventBytes)
 	}
-	in := k.mod.InstrAt(id)
+	in := &k.instrs[id]
 	if len(k.frames) == 0 {
-		k.pushFrame(k.mod.FuncOfInstr(id), ir.RegNone)
+		k.pushFrame(in.fn, ir.RegNone)
 	}
 	f := &k.frames[len(k.frames)-1]
-	if f.fn != k.mod.FuncOfInstr(id) {
+	if f.fn != in.fn {
 		// A region sliced mid-call or a malformed trace.
 		k.err = fmt.Errorf("core: event %d (instr %d in %s) does not match current frame %s",
-			k.n, id, k.mod.FuncOfInstr(id).Name, f.fn.Name)
+			k.n, id, in.fn.Name, f.fn.Name)
 		return k.err
 	}
 	k.preds = k.preds[:0]
 
-	switch in.Op {
+	switch in.op {
 	case ir.OpLoad:
-		px := k.val(f, in.X)
+		px := k.val(f, in.x)
 		if px != nil {
 			k.preds = append(k.preds, px.row)
 			k.edges++
@@ -655,7 +689,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 		k.stageControl()
 		w := len(k.cands)
-		dst := &f.regs[in.Dst]
+		dst := &f.regs[in.dst]
 		buf := dst.row
 		if buf == nil {
 			buf = k.newRow()
@@ -675,8 +709,8 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 
 	case ir.OpStore:
-		px := k.val(f, in.X)
-		pv := k.val(f, in.Y)
+		px := k.val(f, in.x)
+		pv := k.val(f, in.y)
 		if px != nil {
 			k.preds = append(k.preds, px.row)
 			k.edges++
@@ -728,6 +762,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 
 	case ir.OpCall:
+		in := k.mod.InstrAt(id)
 		callee := k.mod.Funcs[in.Callee]
 		// Descriptor copies are collected before pushFrame: the append may
 		// move the frame structs, invalidating f and any operand pointers
@@ -766,6 +801,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 
 	case ir.OpRet:
+		in := k.mod.InstrAt(id)
 		rp := streamVal{instr: -1, cand: -1, storedInstr: -1}
 		if in.X.Kind == ir.KindReg {
 			if v := k.val(f, in.X); v != nil {
@@ -801,8 +837,8 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		k.popFrame()
 
 	default:
-		px := k.val(f, in.X)
-		py := k.val(f, in.Y)
+		px := k.val(f, in.x)
+		py := k.val(f, in.y)
 		if px != nil {
 			k.preds = append(k.preds, px.row)
 			k.edges++
@@ -812,11 +848,10 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			k.edges++
 		}
 		k.stageControl()
-		isCand := in.IsCandidate() || (k.dopts.CharacterizeInts && in.IsIntCandidate())
-		isBranch := k.dopts.IncludeControl && in.Op == ir.OpCondBr
+		isBranch := k.dopts.IncludeControl && in.op == ir.OpCondBr
 		var col int32 = -1
-		if isCand {
-			col = k.colFor(id, in)
+		if in.cand {
+			col = k.colFor(id)
 		}
 		w := len(k.cands)
 		// On the relaxation replay, a reduction instance's own column
@@ -835,11 +870,11 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 		var row []int32
 		transient := false
-		if in.Dst != ir.RegNone || isBranch || col >= 0 {
+		if in.dst != ir.RegNone || isBranch || col >= 0 {
 			var buf []int32
 			switch {
-			case in.Dst != ir.RegNone:
-				buf = f.regs[in.Dst].row
+			case in.dst != ir.RegNone:
+				buf = f.regs[in.dst].row
 			case isBranch:
 				buf = k.branch
 			default:
@@ -853,13 +888,14 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		var kidx int32
 		if col >= 0 {
 			ca := &k.cands[col]
+			row = extendRow(row, col)
 			if relaxed >= 0 {
 				row[col] = relaxed
 			}
 			row[col]++
 			kidx = int32(len(ca.instTS))
 			ca.instTS = append(ca.instTS, row[col])
-			ca.tup = append(ca.tup, [3]int64{ddg.NoAddr, provAddr(px, in.X), provAddr(py, in.Y)})
+			ca.tup = append(ca.tup, [3]int64{ddg.NoAddr, provAddr(px, in.x), provAddr(py, in.y)})
 			if ca.elig {
 				var carry uint8
 				if px != nil {
@@ -889,8 +925,8 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			k.branch = row
 			k.branchSet = true
 		}
-		if in.Dst != ir.RegNone {
-			dst := &f.regs[in.Dst]
+		if in.dst != ir.RegNone {
+			dst := &f.regs[in.dst]
 			*dst = streamVal{row: row, seq: k.n, instr: id, cand: col, inst: kidx, storedInstr: -1}
 		}
 		if transient {
@@ -1048,17 +1084,14 @@ func (k *StreamKernel) finishCand(ca *candCol) InstrReport {
 		k.iota = append(k.iota, int32(len(k.iota)))
 	}
 	inst := k.iota[:nInst]
-	sc := &k.fin
-	parts := sc.partition(inst, ca.instTS)
+	parts := k.fin.partition(inst, ca.instTS)
 	in := k.mod.InstrAt(ca.id)
-	tup := func(p int32) [3]int64 {
-		t := ca.tup[p]
-		if t[0] == ddg.NoAddr {
-			t[0] = 0 // never stored: the paper's artificial address
+	for i := range ca.tup {
+		if ca.tup[i][0] == ddg.NoAddr {
+			ca.tup[i][0] = 0 // never stored: the paper's artificial address
 		}
-		return t
 	}
-	unit, non := strideStatsFn(tup, parts, in.Type.Size(), sc)
+	unit, non := k.stride.stats(ca.tup, parts, in.Type.Size())
 	var cp int32
 	for _, t := range ca.instTS {
 		if t > cp {

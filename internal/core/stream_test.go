@@ -22,6 +22,7 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -246,6 +247,113 @@ func TestStreamKernelBudget(t *testing.T) {
 	at2, err2 := feedAll()
 	if at1 != at2 || err1.Error() != err2.Error() {
 		t.Fatalf("budget failure moved: event %d (%v) vs event %d (%v)", at1, err1, at2, err2)
+	}
+}
+
+// TestStreamKernelBudgetPinned pins, on Listing 1, the event at which a
+// budget trips and the kernel's peak working set to the values the kernel
+// had while every row was as wide as the active column count. Charges
+// follow row checkouts, not row widths, so narrow rows must not move them.
+func TestStreamKernelBudgetPinned(t *testing.T) {
+	k := kernels.Listing1(24)
+	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := ddg.Options{IncludeAntiOutput: true, IncludeControl: true, CharacterizeInts: true}
+	for _, c := range []struct {
+		name   string
+		dopts  ddg.Options
+		budget int64
+		failAt int // -1: the region completes
+		peak   int64
+	}{
+		{"flow/unbounded", ddg.Options{}, 0, -1, 120744},
+		{"flow/8KiB", ddg.Options{}, 8192, 194, 8296},
+		{"flow/32KiB", ddg.Options{}, 32768, 4022, 32808},
+		{"all/unbounded", all, 0, -1, 242416},
+		{"all/8KiB", all, 8192, 74, 8344},
+		{"all/32KiB", all, 32768, 1635, 32776},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			kk := core.AcquireStreamKernel(tr.Module, c.dopts, core.Options{Budget: core.Budget{MaxAnalysisBytes: c.budget}}, nil)
+			defer kk.Release()
+			at := -1
+			for i, ev := range tr.Events {
+				if err := kk.Feed(ev.ID, ev.Addr); err != nil {
+					if !errors.Is(err, core.ErrResourceLimit) {
+						t.Fatalf("event %d: %v", i, err)
+					}
+					at = i
+					break
+				}
+			}
+			if at < 0 {
+				if _, err := kk.Finish(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if at != c.failAt || kk.PeakLiveBytes() != c.peak {
+				t.Fatalf("failed at event %d with peak %d bytes, want event %d with peak %d",
+					at, kk.PeakLiveBytes(), c.failAt, c.peak)
+			}
+		})
+	}
+}
+
+// TestRowMaxIntoWidth pins rowMaxInto's width contract: the result is as
+// wide as the widest source row, capped at w, and missing columns read as
+// zero; with no sources it is empty.
+func TestRowMaxIntoWidth(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		w    int
+		rows [][]int32
+		want []int32
+	}{
+		{"none", 4, nil, []int32{}},
+		{"one empty", 4, [][]int32{{}}, []int32{}},
+		{"one", 4, [][]int32{{3, 1}}, []int32{3, 1}},
+		{"one capped", 2, [][]int32{{3, 1, 4}}, []int32{3, 1}},
+		{"two, second wider", 4, [][]int32{{5}, {1, 2, 3}}, []int32{5, 2, 3}},
+		{"two, first wider", 4, [][]int32{{1, 2, 3}, {5}}, []int32{5, 2, 3}},
+		{"two capped", 2, [][]int32{{1, 7, 3}, {5}}, []int32{5, 7}},
+		{"three", 5, [][]int32{{1}, {0, 4}, {2, 1, 6}}, []int32{2, 4, 6}},
+		{"three capped", 1, [][]int32{{1}, {0, 4}, {2, 1, 6}}, []int32{2}},
+		{"three empty", 5, [][]int32{{}, {}, {}}, []int32{}},
+	} {
+		got := core.RowMaxInto(make([]int32, 0, 8), c.w, c.rows)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: rowMaxInto(w=%d, %v) = %v, want %v", c.name, c.w, c.rows, got, c.want)
+		}
+	}
+	// dst may alias a source row, wider or narrower than the result.
+	a := append(make([]int32, 0, 8), 1, 9)
+	if got := core.RowMaxInto(a, 4, [][]int32{a, {4, 2, 7}}); !reflect.DeepEqual(got, []int32{4, 9, 7}) {
+		t.Errorf("aliasing the narrower source: got %v, want [4 9 7]", got)
+	}
+	b := append(make([]int32, 0, 8), 1, 9, 3)
+	if got := core.RowMaxInto(b, 4, [][]int32{{4}, b}); !reflect.DeepEqual(got, []int32{4, 9, 3}) {
+		t.Errorf("aliasing the wider source: got %v, want [4 9 3]", got)
+	}
+}
+
+// TestExtendRowZeroFills pins the candidate extension: a row narrower than
+// col+1 grows to exactly col+1 with zeros in the new columns, whatever its
+// buffer held before; a row already wide enough is left alone.
+func TestExtendRowZeroFills(t *testing.T) {
+	buf := []int32{7, 8, 9, 9, 9, 9}
+	got := core.ExtendRow(buf[:2], 4)
+	if !reflect.DeepEqual(got, []int32{7, 8, 0, 0, 0}) {
+		t.Fatalf("ExtendRow([7 8], 4) = %v, want [7 8 0 0 0]", got)
+	}
+	got = core.ExtendRow(buf[:0], 0)
+	if !reflect.DeepEqual(got, []int32{0}) {
+		t.Fatalf("ExtendRow([], 0) = %v, want [0]", got)
+	}
+	row := []int32{1, 2, 3}
+	if got := core.ExtendRow(row, 1); !reflect.DeepEqual(got, []int32{1, 2, 3}) {
+		t.Fatalf("ExtendRow([1 2 3], 1) = %v, want it unchanged", got)
 	}
 }
 

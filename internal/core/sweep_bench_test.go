@@ -1,7 +1,8 @@
 package core_test
 
 // Benchmarks for the stream kernel's sweep against the per-candidate graph
-// reference, across candidate counts. The generated programs pin the
+// reference, across candidate counts, and for its stride stage against the
+// paper-literal scans. The generated programs pin the
 // candidate count exactly: array initialization stores constants (no FP
 // arithmetic), so only the measured loops contribute candidate
 // instructions.
@@ -9,6 +10,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -103,5 +105,54 @@ func BenchmarkPerCandidateSweep(b *testing.B) {
 				core.Analyze(g, core.Options{Workers: 1})
 			}
 		})
+	}
+}
+
+// stridePartition builds one partition of n instances whose keys are
+// gather-like (a permutation of a strided index set, so §3.2 leaves
+// singletons and §3.3 takes many passes) or unit-stride in trace order.
+func stridePartition(n int, gather bool) ([][3]int64, []core.Partition) {
+	r := rand.New(rand.NewSource(int64(n)))
+	keys := make([][3]int64, n)
+	nodes := make([]int32, n)
+	for i := range keys {
+		nodes[i] = int32(i)
+		if gather {
+			j := int64(r.Intn(n))
+			keys[i] = [3]int64{0x10000 + 8*int64(i), 0x40000 + 24*j, 0x80000 + 40*(j%17)}
+		} else {
+			keys[i] = [3]int64{0x10000 + 8*int64(i), 0x40000 + 8*int64(i), 0}
+		}
+	}
+	if gather {
+		r.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	}
+	return keys, []core.Partition{{Timestamp: 1, Nodes: nodes}}
+}
+
+// strideSink keeps the benchmarked stride stage's result live.
+var strideSink core.StrideStats
+
+// BenchmarkStrideStats compares the kernel's stride stage with the literal
+// scans on one gather-like and one unit-stride partition.
+func BenchmarkStrideStats(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		gather bool
+	}{{"gather", true}, {"unit", false}} {
+		keys, parts := stridePartition(4096, shape.gather)
+		for _, impl := range []string{"kernel", "literal"} {
+			b.Run(shape.name+"/"+impl, func(b *testing.B) {
+				var st core.StrideStage
+				run := st.Kernel
+				if impl == "literal" {
+					run = st.Literal
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					strideSink, _ = run(keys, parts, 8)
+				}
+			})
+		}
 	}
 }

@@ -161,6 +161,10 @@ type Module struct {
 	// 0..NumInstrs-1 after Finalize.
 	NumInstrs int
 	refs      []InstrRef
+	// ops and loops copy each instruction's Op and Loop into flat arrays,
+	// for per-event paths that need nothing else.
+	ops   []Opcode
+	loops []int32
 }
 
 // FuncByName returns the named function, or nil.
@@ -181,6 +185,8 @@ func (m *Module) Finalize() {
 	m.funcByName = make(map[string]*Function, len(m.Funcs))
 	id := int32(0)
 	m.refs = m.refs[:0]
+	m.ops = m.ops[:0]
+	m.loops = m.loops[:0]
 	for _, f := range m.Funcs {
 		m.funcByName[f.Name] = f
 		f.layoutFrame()
@@ -188,6 +194,8 @@ func (m *Module) Finalize() {
 			for i := range b.Instrs {
 				b.Instrs[i].ID = id
 				m.refs = append(m.refs, InstrRef{Func: f.Index, Block: b.Index, Index: int32(i)})
+				m.ops = append(m.ops, b.Instrs[i].Op)
+				m.loops = append(m.loops, b.Instrs[i].Loop)
 				id++
 			}
 		}
@@ -220,6 +228,14 @@ func (m *Module) InstrAt(id int32) *Instr {
 	r := m.refs[id]
 	return &m.Funcs[r.Func].Blocks[r.Block].Instrs[r.Index]
 }
+
+// OpOf returns the opcode of the instruction with the given ID: one load
+// from a flat array, where InstrAt is a chain of four dependent loads.
+func (m *Module) OpOf(id int32) Opcode { return m.ops[id] }
+
+// LoopOf returns the innermost enclosing source loop ID of the instruction
+// with the given ID (its Loop field), from a flat array like OpOf.
+func (m *Module) LoopOf(id int32) int32 { return m.loops[id] }
 
 // FuncOfInstr returns the function containing the instruction with the given
 // ID.

@@ -75,7 +75,8 @@ const (
 	DDGEdges
 	// CandidatesAnalyzed counts candidate static instructions swept.
 	CandidatesAnalyzed
-	// TilesDispatched counts fused-kernel tiles handed to the worker pool.
+	// TilesDispatched counts stream-kernel sweeps: one per analyzed region
+	// (the name predates the stream kernel and is kept for the outputs).
 	TilesDispatched
 	// PartitionsEmitted counts parallel partitions across all candidates.
 	PartitionsEmitted

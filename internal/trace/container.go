@@ -138,13 +138,14 @@ type allTracker struct {
 	closed []IndexRegion // scratch, reused across steps
 }
 
-// step feeds the event at absolute index i and returns the regions it
-// closes, in close order. The returned slice is reused by the next call.
-func (t *allTracker) step(i int, in *ir.Instr) []IndexRegion {
+// step feeds the event at absolute index i, an instance of instruction id
+// of m, and returns the regions it closes, in close order. The returned
+// slice is reused by the next call.
+func (t *allTracker) step(i int, m *ir.Module, id int32) []IndexRegion {
 	t.closed = t.closed[:0]
-	switch in.Op {
+	switch m.OpOf(id) {
 	case ir.OpLoopBegin:
-		t.stack = append(t.stack, openRegion{loopID: int(in.Loop), start: i + 1, depth: t.depth})
+		t.stack = append(t.stack, openRegion{loopID: int(m.LoopOf(id)), start: i + 1, depth: t.depth})
 	case ir.OpLoopEnd:
 		if len(t.stack) > 0 {
 			o := t.stack[len(t.stack)-1]
@@ -289,7 +290,7 @@ func (cw *ContainerWriter) Write(ev Event) error {
 	if err := cw.header(); err != nil {
 		return cw.fail(err)
 	}
-	cw.regions = append(cw.regions, cw.tk.step(cw.idx, cw.mod.InstrAt(ev.ID))...)
+	cw.regions = append(cw.regions, cw.tk.step(cw.idx, cw.mod, ev.ID)...)
 	var err error
 	cw.raw, cw.prevAddr, err = appendEvent(cw.raw, ev, cw.prevAddr)
 	if err != nil {

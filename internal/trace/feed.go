@@ -153,11 +153,10 @@ func (f *RegionFeed) Push(ev Event) error {
 		return f.failAt(fmt.Errorf("instruction ID %d not in module (%d instructions): %w",
 			ev.ID, f.mod.NumInstrs, ErrCorruptTrace))
 	}
-	in := f.mod.InstrAt(ev.ID)
-	for _, r := range f.tk.step(f.idx, in) {
+	for _, r := range f.tk.step(f.idx, f.mod, ev.ID) {
 		f.closeRegion(r)
 	}
-	if in.Op == ir.OpLoopBegin && int(in.Loop) == f.loopID {
+	if f.mod.OpOf(ev.ID) == ir.OpLoopBegin && int(f.mod.LoopOf(ev.ID)) == f.loopID {
 		// The region's events start at the next index; the marker itself is
 		// excluded (but still feeds any open outer region below).
 		f.open = append(f.open, openSink{start: f.idx + 1, sink: f.make()})

@@ -88,14 +88,14 @@ type regionTracker struct {
 	closed []Region // scratch, reused across steps
 }
 
-// step feeds the event at absolute index i and returns the target-loop
-// regions it closes, in close order. The returned slice is reused by the
-// next call.
-func (t *regionTracker) step(i int, in *ir.Instr) []Region {
+// step feeds the event at absolute index i, an instance of instruction id
+// of m, and returns the target-loop regions it closes, in close order. The
+// returned slice is reused by the next call.
+func (t *regionTracker) step(i int, m *ir.Module, id int32) []Region {
 	t.closed = t.closed[:0]
-	switch in.Op {
+	switch m.OpOf(id) {
 	case ir.OpLoopBegin:
-		t.stack = append(t.stack, openRegion{loopID: int(in.Loop), start: i + 1, depth: t.depth})
+		t.stack = append(t.stack, openRegion{loopID: int(m.LoopOf(id)), start: i + 1, depth: t.depth})
 	case ir.OpLoopEnd:
 		if len(t.stack) > 0 {
 			o := t.stack[len(t.stack)-1]
@@ -145,7 +145,7 @@ func (t *Trace) Regions(loopID int) []Region {
 	tk := regionTracker{target: loopID}
 	m := t.Module
 	for i, ev := range t.Events {
-		out = append(out, tk.step(i, m.InstrAt(ev.ID))...)
+		out = append(out, tk.step(i, m, ev.ID)...)
 	}
 	out = append(out, tk.finish(len(t.Events))...)
 	return out
