@@ -7,12 +7,9 @@
 //	vecbench -table 1    one table (1–4)
 //	vecbench -figure 2   one figure (1–2)
 //	vecbench -workers 4  table rows analyzed by a 4-worker pool
-//	vecbench -scan 512   trace scan throughput: VTR1 sequential vs VTR2 indexed
 //
-// The -scan mode records a synthetic multi-region trace in both formats and
-// times the sequential VTR1 scanner against VTR2 indexed scans at doubling
-// worker counts (-block/-compress pick the container encoding, -scan-workers
-// caps the fan-out), cross-checking every run against the VTR1 baseline.
+// Performance of the trace formats and the service is measured by the
+// benchmark suite in bench/, not here.
 //
 // Profiling: -cpuprofile, -memprofile, and -trace write the standard
 // runtime profiles for the whole run (view with go tool pprof / trace).
@@ -32,7 +29,6 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/diag"
 	"github.com/example/vectrace/internal/report"
-	"github.com/example/vectrace/internal/trace"
 )
 
 func main() {
@@ -41,10 +37,6 @@ func main() {
 	n := flag.Int("n", 16, "problem size for the figures")
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of the paper layout")
 	workers := flag.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
-	scan := flag.Int("scan", 0, "benchmark scan throughput on a trace with this many dynamic `regions` (0 = off)")
-	serveN := flag.Int("serve", 0, "benchmark the vectraced service path with this many `requests` per queue depth (0 = off)")
-	var tf diag.TraceFormat
-	tf.Register(flag.CommandLine, "trace-format", trace.FormatVTR2, true)
 	var prof diag.Flags
 	prof.Register(flag.CommandLine, "trace")
 	var timeout diag.Timeout
@@ -53,10 +45,6 @@ func main() {
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := tf.Validate(false); err != nil {
-		fmt.Fprintln(os.Stderr, "vecbench:", err)
-		os.Exit(2)
-	}
 	if err := obsFlags.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "vecbench:", err)
 		os.Exit(1)
@@ -69,16 +57,10 @@ func main() {
 	ctx, cancel := timeout.Context(obsFlags.Context(context.Background()))
 	defer cancel()
 	opts := core.Options{Workers: *workers}
-	serveSummary := map[string]any{}
 	var err error
-	switch {
-	case *serveN > 0:
-		err = runServe(ctx, *serveN, serveSummary)
-	case *scan > 0:
-		err = runScan(ctx, *scan, opts, tf)
-	case *csvOut:
+	if *csvOut {
 		err = runCSV(ctx, *table, *figure, *n, opts)
-	default:
+	} else {
 		err = run(ctx, *table, *figure, *n, opts)
 	}
 	if serr := prof.Stop(); err == nil {
@@ -87,17 +69,6 @@ func main() {
 	config := map[string]any{
 		"table": *table, "figure": *figure, "n": *n,
 		"workers": opts.WorkerCount(), "csv": *csvOut,
-	}
-	if *scan > 0 {
-		config["scan"] = *scan
-		config["trace_format"] = tf.Format
-		config["scan_workers"] = tf.ScanWorkers
-	}
-	if *serveN > 0 {
-		config["serve"] = *serveN
-		for k, v := range serveSummary {
-			config[k] = v
-		}
 	}
 	if serr := obsFlags.Stop(config); err == nil {
 		err = serr

@@ -72,6 +72,14 @@ func TestAnalyzeStatsDocument(t *testing.T) {
 			t.Errorf("stats missing stage span %q", stage)
 		}
 	}
+	// span_totals is read off the stage histograms: the same count, sum
+	// and max, entry for entry.
+	for stage, agg := range rs.SpanTotals {
+		h, ok := rs.Histograms["stage:"+stage]
+		if !ok || h.Count != agg.Count || h.SumNs != agg.TotalNs || h.MaxNs != agg.MaxNs {
+			t.Errorf("span_totals[%s] = %+v, stage histogram %+v (present %v)", stage, agg, h, ok)
+		}
+	}
 	for name, min := range map[string]int64{
 		"regions_started":     1,
 		"regions_completed":   1,

@@ -203,8 +203,7 @@ func (d *Flags) Stop() error {
 // unconditionally; when no flag is set Recorder() stays nil and the whole
 // pipeline keeps its nil-recorder fast path.
 type Obs struct {
-	// Stats is the -stats destination; "auto" resolves to the conventional
-	// BENCH_<rev>.json trajectory filename (see obs.BenchStatsPath).
+	// Stats is the -stats destination file.
 	Stats string
 	// Progress enables the -progress live line printer on stderr.
 	Progress bool
@@ -251,7 +250,7 @@ func (o *Obs) sampleHeap() {
 
 // Register installs the observability flags on fs.
 func (o *Obs) Register(fs *flag.FlagSet) {
-	fs.StringVar(&o.Stats, "stats", "", "write run statistics (RunStats JSON) to `file` on exit (\"auto\" = BENCH_<rev>.json)")
+	fs.StringVar(&o.Stats, "stats", "", "write run statistics (RunStats JSON) to `file` on exit")
 	fs.BoolVar(&o.Progress, "progress", false, "print throttled live progress lines to stderr")
 	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /metrics, /progress and /debug/pprof on `addr` (e.g. localhost:6060) while running")
 	fs.StringVar(&o.LogFormat, "log-format", "", "emit structured logs to stderr as \"json\" (NDJSON) or \"text\" (\"\" = no structured logs)")
@@ -373,11 +372,7 @@ func (o *Obs) Stop(config map[string]any) error {
 	keep(o.srv.Stop())
 	o.srv = nil
 	if o.Stats != "" {
-		path := o.Stats
-		if path == "auto" {
-			path = obs.BenchStatsPath()
-		}
-		keep(obs.WriteStats(path, o.rec.Stats(o.Tool, config)))
+		keep(obs.WriteStats(o.Stats, o.rec.Snapshot().RunStats(o.Tool, config)))
 	}
 	return first
 }

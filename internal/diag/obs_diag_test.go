@@ -173,8 +173,8 @@ func TestObsLifecycle(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "# TYPE vectrace_events_scanned_total counter") {
 		t.Errorf("/metrics: code %d, body %.120s", code, body)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "vectrace_run") {
-		t.Errorf("/debug/vars: code %d, body %.120s", code, body)
+	if code, body := get("/progress"); code != 200 || !strings.Contains(body, `"events_scanned": 7`) {
+		t.Errorf("/progress: code %d, body %.120s", code, body)
 	}
 
 	if err := o.Stop(map[string]any{"n": 16}); err != nil {

@@ -7,9 +7,9 @@ import (
 	"github.com/example/vectrace/internal/trace"
 )
 
-// TraceFormat groups the trace-container knobs shared by vectrace and
-// vecbench: which on-disk format to write (and, on the read side, to
-// require), the VTR2 block-size and compression options, and how many
+// TraceFormat groups the trace-container knobs shared by vectrace's
+// record and analyze: which on-disk format to write (and, on the read
+// side, to require), the VTR2 block-size and compression options, and how many
 // workers an indexed region scan fans out across. Like the other flag
 // groups here, zero values select the defaults and the struct is safe to
 // wire unconditionally.

@@ -19,9 +19,9 @@ import (
 //   - Nil is the off state: a nil *Histogram ignores Observe, so callers
 //     thread histograms unconditionally (the recorder hands out nil ones
 //     when observability is off).
-//   - Snapshots are mergeable: two snapshots of the same bucket scheme
-//     add bucket-wise, so per-shard or per-depth histograms fold into an
-//     aggregate without losing the distribution.
+//   - Snapshots are mergeable: a snapshot adds bucket-wise into a live
+//     histogram of the same scheme (AddSnapshot), so per-job histograms
+//     fold into the service-wide ones without losing the distribution.
 //
 // Buckets are powers of two in microseconds: bucket 0 holds observations
 // up to 1µs, bucket i holds (2^(i-1)µs, 2^i µs], and the final bucket is
@@ -145,26 +145,6 @@ type HistogramSnapshot struct {
 	Buckets []int64 // len histBuckets; may be nil for the zero snapshot
 }
 
-// Merge folds o into s bucket-wise. Snapshots share the fixed bucket
-// scheme, so merging is exact: the merged quantiles are the quantiles of
-// the union of observations (within bucket resolution).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.SumNs += o.SumNs
-	if o.MaxNs > s.MaxNs {
-		s.MaxNs = o.MaxNs
-	}
-	if o.Buckets == nil {
-		return
-	}
-	if s.Buckets == nil {
-		s.Buckets = make([]int64, histBuckets)
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear
 // interpolation inside the covering bucket. The overflow bucket
 // interpolates toward the observed maximum. Returns 0 for an empty
@@ -233,38 +213,14 @@ func (r *Recorder) ObserveDur(name string, d time.Duration) {
 	r.Hist(name).Observe(d)
 }
 
-// HistSnapshot returns a snapshot of the named histogram and whether it
-// exists. A nil recorder reports false.
-func (r *Recorder) HistSnapshot(name string) (HistogramSnapshot, bool) {
-	if r == nil {
-		return HistogramSnapshot{}, false
-	}
-	h, ok := r.hists.Load(name)
-	if !ok {
-		return HistogramSnapshot{}, false
-	}
-	return h.(*Histogram).Snapshot(), true
-}
-
-// MergeHistsFrom folds every histogram held by from into r's histograms
-// of the same names. Safe when either recorder is nil.
-func (r *Recorder) MergeHistsFrom(from *Recorder) {
+// AddHistograms folds each snapshot into r's histogram of the same name —
+// how the server aggregates a finished job's histograms (one Snapshot of
+// the job's recorder) into the service-wide ones. No-op on nil.
+func (r *Recorder) AddHistograms(hs map[string]HistogramSnapshot) {
 	if r == nil {
 		return
 	}
-	from.eachHist(func(name string, h *Histogram) {
-		r.Hist(name).AddSnapshot(h.Snapshot())
-	})
-}
-
-// eachHist visits every histogram the recorder holds, in map order
-// (nil-safe; exporters sort the names themselves for determinism).
-func (r *Recorder) eachHist(f func(name string, h *Histogram)) {
-	if r == nil {
-		return
+	for name, h := range hs {
+		r.Hist(name).AddSnapshot(h)
 	}
-	r.hists.Range(func(k, v any) bool {
-		f(k.(string), v.(*Histogram))
-		return true
-	})
 }

@@ -183,41 +183,36 @@ func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: Merge and AddSnapshot agree, and the merged
-// distribution is the union of observations.
+// TestHistogramMerge: AddSnapshot folds snapshots into a live histogram
+// exactly — the merged distribution is the union of the observations.
 func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
+	var a, b, union Histogram
 	for i := 0; i < 10; i++ {
 		a.Observe(time.Millisecond)
 		b.Observe(time.Second)
+		union.Observe(time.Millisecond)
+		union.Observe(time.Second)
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa
-	merged.Buckets = append([]int64(nil), sa.Buckets...)
-	merged.Merge(sb)
-	if merged.Count != 20 || merged.MaxNs != int64(time.Second) {
-		t.Errorf("merged = count %d max %d", merged.Count, merged.MaxNs)
-	}
-	if want := int64(10*time.Millisecond + 10*time.Second); merged.SumNs != want {
-		t.Errorf("merged sum = %d, want %d", merged.SumNs, want)
-	}
-
 	var c Histogram
-	c.AddSnapshot(sa)
-	c.AddSnapshot(sb)
-	sc := c.Snapshot()
-	if sc.Count != merged.Count || sc.SumNs != merged.SumNs || sc.MaxNs != merged.MaxNs {
-		t.Errorf("AddSnapshot disagrees with Merge: %+v vs %+v", sc, merged)
+	c.AddSnapshot(a.Snapshot())
+	c.AddSnapshot(b.Snapshot())
+	c.AddSnapshot(HistogramSnapshot{Count: 5}) // no bucket scheme: adds nothing
+	got, want := c.Snapshot(), union.Snapshot()
+	if got.Count != 20 || got.MaxNs != int64(time.Second) {
+		t.Errorf("merged = count %d max %d", got.Count, got.MaxNs)
 	}
-	for i := range sc.Buckets {
-		if sc.Buckets[i] != merged.Buckets[i] {
-			t.Errorf("bucket %d: AddSnapshot %d, Merge %d", i, sc.Buckets[i], merged.Buckets[i])
+	if sum := int64(10*time.Millisecond + 10*time.Second); got.SumNs != sum {
+		t.Errorf("merged sum = %d, want %d", got.SumNs, sum)
+	}
+	for i := range got.Buckets {
+		if got.Buckets[i] != want.Buckets[i] {
+			t.Errorf("bucket %d: merged %d, union %d", i, got.Buckets[i], want.Buckets[i])
 		}
 	}
 }
 
 // TestRecorderHistograms covers the recorder-level API: named creation,
-// MergeHistsFrom, and stage-histogram feeding from spans.
+// AddHistograms from another recorder's snapshot, and the snapshot read.
 func TestRecorderHistograms(t *testing.T) {
 	job := New()
 	job.ObserveDur("stage:parse", 2*time.Millisecond)
@@ -226,15 +221,15 @@ func TestRecorderHistograms(t *testing.T) {
 
 	svc := New()
 	svc.ObserveDur("stage:parse", time.Millisecond)
-	svc.MergeHistsFrom(job)
-	s, ok := svc.HistSnapshot("stage:parse")
-	if !ok || s.Count != 3 {
+	svc.AddHistograms(job.Snapshot().Histograms)
+	hs := svc.Snapshot().Histograms
+	if s, ok := hs["stage:parse"]; !ok || s.Count != 3 {
 		t.Errorf("merged stage:parse = %+v ok=%v, want count 3", s, ok)
 	}
-	if s2, ok := svc.HistSnapshot("job"); !ok || s2.Count != 1 {
-		t.Errorf("merged job histogram = %+v ok=%v, want count 1", s2, ok)
+	if s, ok := hs["job"]; !ok || s.Count != 1 {
+		t.Errorf("merged job histogram = %+v ok=%v, want count 1", s, ok)
 	}
-	if _, ok := svc.HistSnapshot("absent"); ok {
-		t.Error("HistSnapshot invented a histogram")
+	if _, ok := hs["absent"]; ok {
+		t.Error("Snapshot invented a histogram")
 	}
 }

@@ -1,9 +1,10 @@
 // Package obs is the analysis pipeline's observability layer: a
 // low-overhead recorder of counters, gauges, and stage spans that every
 // pipeline layer feeds, plus the exporters that make the recorded run
-// visible — a versioned RunStats JSON document, a throttled live progress
-// printer, and a localhost debug listener serving /metrics, /progress, and
-// the standard pprof endpoints.
+// visible — a versioned RunStats JSON document, Prometheus text, a
+// throttled live progress printer, trace trees, and a localhost debug
+// listener serving /metrics, /progress, and the standard pprof endpoints.
+// Every exporter is a pure function of one Snapshot of the recorder.
 //
 // The design contract is that observability is free when off and cheap
 // when on:
@@ -225,8 +226,8 @@ var counterNames = [numCounters]string{
 func (c Counter) Name() string { return counterNames[c] }
 
 // maxRecordedSpans bounds the individually recorded span list; beyond it
-// (and beyond maxSpansPerName for any one stage) spans still update the
-// per-name aggregates but are not materialized, so a million-region run
+// (and beyond maxSpansPerName for any one stage) spans still feed their
+// stage histogram but are not materialized, so a million-region run
 // exports a bounded document. Dropped spans are counted, never silent.
 const (
 	maxRecordedSpans = 4096
@@ -247,7 +248,6 @@ type Recorder struct {
 
 	mu           sync.Mutex
 	spans        []SpanStats
-	aggs         map[string]*SpanAgg
 	spansDropped int64
 	firstFailure string
 	corruptByte  int64
@@ -257,7 +257,7 @@ type Recorder struct {
 
 // New returns an empty Recorder with its clock started.
 func New() *Recorder {
-	return &Recorder{start: time.Now(), aggs: make(map[string]*SpanAgg), corruptByte: -1}
+	return &Recorder{start: time.Now(), corruptByte: -1}
 }
 
 // Add increments counter c by n. No-op on a nil recorder.
@@ -309,20 +309,14 @@ func (r *Recorder) GaugeDec(cur Counter) {
 	r.counters[cur].Add(-1)
 }
 
-// Get returns counter c's current value (0 on a nil recorder).
+// Get returns counter c's current value (0 on a nil recorder). Get and
+// Snapshot are the only readers of recorder state; every exporter renders
+// a Snapshot.
 func (r *Recorder) Get(c Counter) int64 {
 	if r == nil {
 		return 0
 	}
 	return r.counters[c].Load()
-}
-
-// Elapsed returns the time since the recorder was created (0 when nil).
-func (r *Recorder) Elapsed() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return time.Since(r.start)
 }
 
 // RecordRegionFailure notes one failed region for the failure summary,

@@ -30,27 +30,24 @@ func TestNilRecorderSafe(t *testing.T) {
 	if got := r.Get(EventsScanned); got != 0 {
 		t.Errorf("nil recorder Get = %d, want 0", got)
 	}
-	if got := r.Elapsed(); got != 0 {
-		t.Errorf("nil recorder Elapsed = %v, want 0", got)
+	if snap := r.Snapshot(); snap.Elapsed != 0 || len(snap.Histograms) != 0 || len(snap.Spans) != 0 {
+		t.Errorf("nil recorder Snapshot = %+v, want zero", snap)
 	}
 	r.StartTimer("x").Stop()
 	r.ObserveDur("stage:x", time.Millisecond)
 	if r.Hist("x") != nil {
 		t.Error("nil recorder Hist should be nil")
 	}
-	if _, ok := r.HistSnapshot("x"); ok {
-		t.Error("nil recorder HistSnapshot should report absent")
-	}
-	r.MergeHistsFrom(New())
+	r.AddHistograms(map[string]HistogramSnapshot{"x": {Count: 1}})
 	r.SetTraceParent("0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331")
-	if r.EnsureTraceID() != "" || r.TraceID() != "" {
+	if r.EnsureTraceID() != "" || r.Snapshot().TraceID != "" {
 		t.Error("nil recorder trace id should be empty")
 	}
 	if r.NewSpanID() != 0 {
 		t.Error("nil recorder NewSpanID should be 0")
 	}
 	r.RecordSpanAt("x", 1, 0, "", time.Now(), time.Millisecond)
-	if tree := r.TraceTree(); tree == nil || len(tree.Roots) != 0 {
+	if tree := r.Snapshot().TraceTree(); tree == nil || len(tree.Roots) != 0 {
 		t.Errorf("nil recorder TraceTree = %+v, want empty tree", tree)
 	}
 	var h *Histogram
@@ -98,12 +95,15 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Errorf("nil server Stop: %v", err)
 	}
 
-	rs := r.Stats("tool", nil)
+	rs := r.Snapshot().RunStats("tool", nil)
 	if rs.SchemaVersion != RunStatsVersion {
-		t.Errorf("nil recorder Stats version = %d", rs.SchemaVersion)
+		t.Errorf("nil recorder RunStats version = %d", rs.SchemaVersion)
 	}
 	if len(rs.Counters) != int(numCounters) {
-		t.Errorf("nil recorder Stats has %d counters, want %d", len(rs.Counters), numCounters)
+		t.Errorf("nil recorder RunStats has %d counters, want %d", len(rs.Counters), numCounters)
+	}
+	if rs.Spans == nil || rs.Failures.CorruptAtByte != -1 {
+		t.Errorf("nil recorder RunStats spans %v, corrupt byte %d; want [] and -1", rs.Spans, rs.Failures.CorruptAtByte)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestCountersAndGauges(t *testing.T) {
 }
 
 // TestSpanTree checks parent attribution through the context and the
-// recorded span list, and that timers feed only the aggregates.
+// recorded span list, and that timers feed only the stage histograms.
 func TestSpanTree(t *testing.T) {
 	r := New()
 	ctx := WithRecorder(context.Background(), r)
@@ -175,9 +175,9 @@ func TestSpanTree(t *testing.T) {
 	_, inner := StartSpan(ctx1, "inner")
 	inner.End()
 	outer.End()
-	r.StartTimer("tile-sweep").Stop()
+	r.StartTimer("sweep").Stop()
 
-	rs := r.Stats("t", nil)
+	rs := r.Snapshot().RunStats("t", nil)
 	if len(rs.Spans) != 2 {
 		t.Fatalf("recorded %d spans, want 2", len(rs.Spans))
 	}
@@ -199,12 +199,12 @@ func TestSpanTree(t *testing.T) {
 		t.Errorf("outer parent_span_id = %d, want 0", rs.Spans[1].ParentID)
 	}
 	// Every span and timer feeds its stage histogram.
-	for _, name := range []string{"stage:outer", "stage:inner", "stage:tile-sweep"} {
+	for _, name := range []string{"stage:outer", "stage:inner", "stage:sweep"} {
 		if hs, ok := rs.Histograms[name]; !ok || hs.Count != 1 {
 			t.Errorf("histograms[%q] = %+v, want count 1", name, hs)
 		}
 	}
-	for _, name := range []string{"outer", "inner", "tile-sweep"} {
+	for _, name := range []string{"outer", "inner", "sweep"} {
 		agg, ok := rs.SpanTotals[name]
 		if !ok || agg.Count != 1 {
 			t.Errorf("span_totals[%q] = %+v, want count 1", name, agg)
@@ -212,14 +212,14 @@ func TestSpanTree(t *testing.T) {
 	}
 	// The timer must not materialize an individual span.
 	for _, s := range rs.Spans {
-		if s.Name == "tile-sweep" {
+		if s.Name == "sweep" {
 			t.Error("timer leaked into the individual span list")
 		}
 	}
 }
 
 // TestSpanCaps floods one stage name past maxSpansPerName and the recorder
-// past maxRecordedSpans: aggregates keep counting, the individual list
+// past maxRecordedSpans: the totals keep counting, the individual list
 // stays bounded, and drops are reported.
 func TestSpanCaps(t *testing.T) {
 	r := New()
@@ -229,9 +229,9 @@ func TestSpanCaps(t *testing.T) {
 		_, sp := StartSpan(ctx, "flood")
 		sp.End()
 	}
-	rs := r.Stats("t", nil)
+	rs := r.Snapshot().RunStats("t", nil)
 	if agg := rs.SpanTotals["flood"]; agg.Count != n {
-		t.Errorf("aggregate count = %d, want %d", agg.Count, n)
+		t.Errorf("span_totals count = %d, want %d", agg.Count, n)
 	}
 	if len(rs.Spans) != maxSpansPerName {
 		t.Errorf("individual spans = %d, want cap %d", len(rs.Spans), maxSpansPerName)
@@ -256,7 +256,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	sp.End()
 
 	path := filepath.Join(t.TempDir(), "stats.json")
-	rs := r.Stats("vectrace analyze", map[string]any{"line": 8})
+	rs := r.Snapshot().RunStats("vectrace analyze", map[string]any{"line": 8})
 	if err := WriteStats(path, rs); err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +360,9 @@ func TestCountingReader(t *testing.T) {
 
 // TestServer starts the debug listener on an ephemeral port and exercises
 // /metrics, /progress, and /debug/pprof/ while the recorder is being
-// updated — the live-observation scenario — then proves a second server in
-// the same process re-binds cleanly (the expvar publish is once-only).
+// updated — the live-observation scenario — checks the retired expvar
+// routes are gone, then proves a second server in the same process binds
+// cleanly.
 func TestServer(t *testing.T) {
 	r := New()
 	r.Add(EventsScanned, 42)
@@ -382,7 +383,7 @@ func TestServer(t *testing.T) {
 				return
 			default:
 				r.Add(EventsScanned, 1)
-				r.StartTimer("tile-sweep").Stop()
+				r.StartTimer("sweep").Stop()
 			}
 		}
 	}()
@@ -395,18 +396,15 @@ func TestServer(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-	// /metrics speaks Prometheus text exposition now; the expvar JSON
-	// moved to /debug/vars (with /vars as deprecated alias).
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "# TYPE vectrace_events_scanned_total counter") {
 		t.Errorf("/metrics: code %d, body %.120s", code, body)
 	} else if err := LintExposition([]byte(body)); err != nil {
 		t.Errorf("/metrics fails exposition lint: %v", err)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "vectrace_run") {
-		t.Errorf("/debug/vars: code %d, body %.120s", code, body)
-	}
-	if code, body := get("/vars"); code != 200 || !strings.Contains(body, "vectrace_run") {
-		t.Errorf("/vars alias: code %d, body %.120s", code, body)
+	for _, path := range []string{"/debug/vars", "/vars"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s: code %d, want 404", path, code)
+		}
 	}
 	if code, body := get("/debug/flight"); code != 200 || !strings.Contains(body, `"kind": "admit"`) {
 		t.Errorf("/debug/flight: code %d, body %.120s", code, body)
@@ -433,7 +431,7 @@ func TestServer(t *testing.T) {
 	if err := srv.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	// Second server: Publish must not panic, recorder handoff must work.
+	// Second server in the same process.
 	r2 := New()
 	srv2, err := StartServer("127.0.0.1:0", r2, nil)
 	if err != nil {
@@ -442,13 +440,5 @@ func TestServer(t *testing.T) {
 	defer srv2.Stop()
 	if _, err := StartServer("", nil, nil); err == nil {
 		t.Error("StartServer with nil recorder should fail")
-	}
-}
-
-// TestBenchStatsPath pins the trajectory filename convention.
-func TestBenchStatsPath(t *testing.T) {
-	p := BenchStatsPath()
-	if !strings.HasPrefix(p, "BENCH_") || !strings.HasSuffix(p, ".json") {
-		t.Errorf("BenchStatsPath = %q, want BENCH_<rev>.json", p)
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// The live progress printer: a single goroutine that samples the recorder
-// on a throttle interval and writes one human line per sample, so a
-// multi-gigabyte streaming analysis shows events/s, region outcomes, and
-// an ETA on stderr instead of running dark. The printer only reads atomic
-// counters — it never blocks the pipeline, and a slow or blocked output
-// writer delays only the printer itself.
+// The live progress printer: a single goroutine that snapshots the
+// recorder on a throttle interval and writes one human line per snapshot,
+// so a multi-gigabyte streaming analysis shows events/s, region outcomes,
+// and an ETA on stderr instead of running dark. The printer never blocks
+// the pipeline, and a slow or blocked output writer delays only the
+// printer itself.
 
 // DefaultProgressInterval is the throttle between progress lines.
 const DefaultProgressInterval = 500 * time.Millisecond
@@ -79,16 +79,24 @@ func (p *Progress) Stop() {
 	p.printLine(true)
 }
 
-// printLine samples the recorder and writes one progress line.
+// printLine snapshots the recorder and writes one progress line.
 func (p *Progress) printLine(final bool) {
-	r := p.rec
-	elapsed := r.Elapsed()
+	line := progressLine(p.rec.Snapshot(), final)
+	p.mu.Lock()
+	fmt.Fprintln(p.w, line)
+	p.mu.Unlock()
+}
+
+// progressLine renders one progress line from a snapshot; final marks the
+// closing line, which drops the ETA.
+func progressLine(s Snapshot, final bool) string {
+	elapsed := s.Elapsed
 	secs := elapsed.Seconds()
-	events := r.Get(EventsScanned)
-	completed := r.Get(RegionsCompleted)
-	failed := r.Get(RegionsFailed)
-	read := r.Get(TraceBytesRead)
-	total := r.Get(TraceBytesTotal)
+	events := s.Counters[EventsScanned]
+	completed := s.Counters[RegionsCompleted]
+	failed := s.Counters[RegionsFailed]
+	read := s.Counters[TraceBytesRead]
+	total := s.Counters[TraceBytesTotal]
 
 	line := fmt.Sprintf("progress: %s  events %s", formatDuration(elapsed), formatCount(events))
 	if secs > 0 && events > 0 {
@@ -119,9 +127,7 @@ func (p *Progress) printLine(final bool) {
 	if final {
 		line += "  done"
 	}
-	p.mu.Lock()
-	fmt.Fprintln(p.w, line)
-	p.mu.Unlock()
+	return line
 }
 
 // formatCount renders large counts with k/M/G suffixes, one decimal.

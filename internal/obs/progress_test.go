@@ -1,18 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
-
-// progressLine renders one progress line for a recorder state.
-func progressLine(r *Recorder, final bool) string {
-	var buf bytes.Buffer
-	p := &Progress{rec: r, w: &buf, done: make(chan struct{})}
-	p.printLine(final)
-	return buf.String()
-}
 
 // TestProgressETAGuard pins the ETA/percent guard: both render only when
 // the byte total actually bounds what was read. Service-mode runs stream
@@ -24,7 +15,7 @@ func TestProgressETAGuard(t *testing.T) {
 	r := New()
 	r.Add(TraceBytesRead, 500)
 	r.Set(TraceBytesTotal, 1000)
-	line := progressLine(r, false)
+	line := progressLine(r.Snapshot(), false)
 	if !strings.Contains(line, "(50%)") || !strings.Contains(line, "eta ") {
 		t.Errorf("bounded total lost percent/eta: %q", line)
 	}
@@ -34,7 +25,7 @@ func TestProgressETAGuard(t *testing.T) {
 	r2 := New()
 	r2.Add(TraceBytesRead, 5000)
 	r2.Set(TraceBytesTotal, 1000)
-	line = progressLine(r2, false)
+	line = progressLine(r2.Snapshot(), false)
 	if strings.Contains(line, "%") || strings.Contains(line, "eta ") {
 		t.Errorf("stale total produced percent/eta: %q", line)
 	}
@@ -45,7 +36,7 @@ func TestProgressETAGuard(t *testing.T) {
 	// Unset total (zero) with bytes read behaves the same.
 	r3 := New()
 	r3.Add(TraceBytesRead, 5000)
-	line = progressLine(r3, false)
+	line = progressLine(r3.Snapshot(), false)
 	if strings.Contains(line, "%") || strings.Contains(line, "eta ") {
 		t.Errorf("unset total produced percent/eta: %q", line)
 	}
@@ -55,7 +46,7 @@ func TestProgressETAGuard(t *testing.T) {
 	r4 := New()
 	r4.Add(TraceBytesRead, 1)
 	r4.Set(TraceBytesTotal, 1<<62)
-	line = progressLine(r4, false)
+	line = progressLine(r4.Snapshot(), false)
 	if strings.Contains(line, "eta ") {
 		t.Errorf("year-plus projection printed an eta: %q", line)
 	}
@@ -64,7 +55,7 @@ func TestProgressETAGuard(t *testing.T) {
 	}
 
 	// The final line never carries an ETA.
-	line = progressLine(r, true)
+	line = progressLine(r.Snapshot(), true)
 	if strings.Contains(line, "eta ") || !strings.Contains(line, "done") {
 		t.Errorf("final line = %q", line)
 	}

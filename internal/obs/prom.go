@@ -77,20 +77,21 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus writes the recorder's state as text exposition. A nil
-// recorder writes only the uptime gauge at zero, so the endpoint answers
-// something well-formed even before observability wires up.
-func WritePrometheus(w io.Writer, r *Recorder) error {
+// WritePrometheus writes a snapshot as text exposition. The zero snapshot
+// (from a nil recorder) writes the uptime gauge and every counter at zero,
+// so the endpoint answers something well-formed even before observability
+// wires up.
+func WritePrometheus(w io.Writer, s Snapshot) error {
 	bw := bufio.NewWriter(w)
 
 	fmt.Fprintf(bw, "# HELP vectrace_run_duration_seconds Wall time since the recorder started.\n")
 	fmt.Fprintf(bw, "# TYPE vectrace_run_duration_seconds gauge\n")
-	fmt.Fprintf(bw, "vectrace_run_duration_seconds %s\n", promFloat(r.Elapsed().Seconds()))
+	fmt.Fprintf(bw, "vectrace_run_duration_seconds %s\n", promFloat(s.Elapsed.Seconds()))
 
 	// Counters and gauges, in declaration order (stable and meaningful:
 	// ingest → analysis → service).
 	for c := Counter(0); c < numCounters; c++ {
-		v := r.Get(c)
+		v := s.Counters[c]
 		if gaugeCounters[c] {
 			fmt.Fprintf(bw, "# TYPE vectrace_%s gauge\n", c.Name())
 			fmt.Fprintf(bw, "vectrace_%s %d\n", c.Name(), v)
@@ -106,10 +107,10 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 		snap         HistogramSnapshot
 	}
 	families := map[string][]labeled{}
-	r.eachHist(func(key string, h *Histogram) {
+	for key, h := range s.Histograms {
 		fam, label, value := histFamily(key)
-		families[fam] = append(families[fam], labeled{label: label, value: value, snap: h.Snapshot()})
-	})
+		families[fam] = append(families[fam], labeled{label: label, value: value, snap: h})
+	}
 	famNames := make([]string, 0, len(families))
 	for f := range families {
 		famNames = append(famNames, f)
@@ -119,12 +120,12 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 		series := families[fam]
 		sort.Slice(series, func(i, j int) bool { return series[i].value < series[j].value })
 		fmt.Fprintf(bw, "# TYPE %s histogram\n", fam)
-		for _, s := range series {
-			lbl := fmt.Sprintf("%s=%q", s.label, escapeLabel(s.value))
+		for _, sr := range series {
+			lbl := fmt.Sprintf("%s=%q", sr.label, escapeLabel(sr.value))
 			var cum int64
 			for i := 0; i < histBuckets; i++ {
-				if len(s.snap.Buckets) == histBuckets {
-					cum += s.snap.Buckets[i]
+				if len(sr.snap.Buckets) == histBuckets {
+					cum += sr.snap.Buckets[i]
 				}
 				le := "+Inf"
 				if ub := HistBucketUpperNs(i); ub >= 0 {
@@ -132,8 +133,8 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 				}
 				fmt.Fprintf(bw, "%s_bucket{%s,le=%q} %d\n", fam, lbl, le, cum)
 			}
-			fmt.Fprintf(bw, "%s_sum{%s} %s\n", fam, lbl, promFloat(time.Duration(s.snap.SumNs).Seconds()))
-			fmt.Fprintf(bw, "%s_count{%s} %d\n", fam, lbl, s.snap.Count)
+			fmt.Fprintf(bw, "%s_sum{%s} %s\n", fam, lbl, promFloat(time.Duration(sr.snap.SumNs).Seconds()))
+			fmt.Fprintf(bw, "%s_count{%s} %d\n", fam, lbl, sr.snap.Count)
 		}
 	}
 	return bw.Flush()

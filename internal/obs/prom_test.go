@@ -39,7 +39,7 @@ var uptimeLine = regexp.MustCompile(`(?m)^vectrace_run_duration_seconds .*$`)
 // format change.
 func TestPromGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, promTestRecorder()); err != nil {
+	if err := WritePrometheus(&buf, promTestRecorder().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	got := uptimeLine.ReplaceAll(buf.Bytes(), []byte("vectrace_run_duration_seconds 0"))
@@ -85,10 +85,10 @@ func diffFirstLine(got, want []byte) string {
 func TestPromDeterministic(t *testing.T) {
 	r := promTestRecorder()
 	var a, b bytes.Buffer
-	if err := WritePrometheus(&a, r); err != nil {
+	if err := WritePrometheus(&a, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheus(&b, r); err != nil {
+	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	na := uptimeLine.ReplaceAll(a.Bytes(), nil)
@@ -99,10 +99,11 @@ func TestPromDeterministic(t *testing.T) {
 }
 
 // TestPromNilRecorder: a nil recorder still answers well-formed exposition
-// (the uptime gauge alone), so /metrics works before wiring completes.
+// (uptime and counters at zero), so /metrics works before wiring completes.
 func TestPromNilRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, nil); err != nil {
+	var r *Recorder
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintExposition(buf.Bytes()); err != nil {

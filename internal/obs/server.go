@@ -2,13 +2,10 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,72 +14,21 @@ import (
 //
 //	/metrics        Prometheus text exposition (counters, gauges, latency
 //	                histograms) — scrapeable by a stock Prometheus
-//	/debug/vars     expvar dump (all published vars, including the live
-//	                "vectrace_run" snapshot of the current recorder);
-//	                /vars is a deprecated alias
 //	/debug/flight   recent lifecycle events from the flight recorder
 //	/progress       JSON snapshot: elapsed, counters, span totals
 //	/debug/pprof/*  the standard runtime profiler endpoints
 //
-// Every endpoint sets an explicit Content-Type. /metrics historically
-// served the expvar JSON; it now speaks the typed exposition format and
-// the untyped dump lives at its conventional home, /debug/vars.
-//
-// The listener binds whatever address the flag names (conventionally a
-// localhost port; an empty port picks a free one) and shuts down with the
-// run. The expvar integration publishes one process-global Func that
-// snapshots whichever recorder is currently serving, so repeated runs in
-// one process (tests, future daemon mode) never collide on Publish.
-
-// currentRecorder is the recorder the process-global expvar Func samples.
-var currentRecorder atomic.Pointer[Recorder]
-
-// publishOnce guards the single expvar.Publish of the run snapshot.
-var publishOnce sync.Once
-
-// publishExpvar registers the "vectrace_run" expvar exactly once.
-func publishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("vectrace_run", expvar.Func(func() any {
-			return currentRecorder.Load().snapshotMap()
-		}))
-	})
-}
-
-// snapshotMap renders the recorder's counters plus elapsed time as a plain
-// map for JSON export. Safe on nil (the expvar may be read between runs).
-func (r *Recorder) snapshotMap() map[string]any {
-	m := make(map[string]any, numCounters+1)
-	if r == nil {
-		return m
-	}
-	m["elapsed_ns"] = r.Elapsed().Nanoseconds()
-	for c := Counter(0); c < numCounters; c++ {
-		m[c.Name()] = r.Get(c)
-	}
-	return m
-}
+// Every endpoint sets an explicit Content-Type, and every recorder-backed
+// endpoint renders one Snapshot per request. The listener binds whatever
+// address the flag names (conventionally a localhost port; an empty port
+// picks a free one) and shuts down with the run.
 
 // MetricsHandler serves the recorder's Prometheus text exposition — shared
 // by the CLI debug listener and vectraced's API mux.
 func MetricsHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
-		WritePrometheus(w, rec)
-	})
-}
-
-// VarsHandler serves the expvar JSON dump with its Content-Type explicit.
-// When deprecated is true (the legacy /vars alias) the response carries a
-// Deprecation header pointing at /debug/vars.
-func VarsHandler(deprecated bool) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if deprecated {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</debug/vars>; rel="successor-version"`)
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		expvar.Handler().ServeHTTP(w, req)
+		WritePrometheus(w, rec.Snapshot())
 	})
 }
 
@@ -98,7 +44,6 @@ func FlightHandler(f *FlightRecorder) http.Handler {
 
 // A Server is a running debug listener.
 type Server struct {
-	rec  *Recorder
 	ln   net.Listener
 	srv  *http.Server
 	done chan struct{}
@@ -116,26 +61,15 @@ func StartServer(addr string, rec *Recorder, flight *FlightRecorder) (*Server, e
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listener: %w", err)
 	}
-	publishExpvar()
-	currentRecorder.Store(rec)
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(rec))
-	mux.Handle("/debug/vars", VarsHandler(false))
-	mux.Handle("/vars", VarsHandler(true))
 	mux.Handle("/debug/flight", FlightHandler(flight))
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		snap := rec.snapshotMap()
-		rec.mu.Lock()
-		totals := make(map[string]SpanAgg, len(rec.aggs))
-		for name, agg := range rec.aggs {
-			totals[name] = *agg
-		}
-		rec.mu.Unlock()
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{"counters": snap, "span_totals": totals})
+		enc.Encode(rec.Snapshot().progressDoc())
 	})
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
@@ -144,7 +78,6 @@ func StartServer(addr string, rec *Recorder, flight *FlightRecorder) (*Server, e
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 
 	s := &Server{
-		rec:  rec,
 		ln:   ln,
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
 		done: make(chan struct{}),
@@ -172,6 +105,5 @@ func (s *Server) Stop() error {
 	}
 	err := s.srv.Close()
 	<-s.done
-	currentRecorder.CompareAndSwap(s.rec, nil)
 	return err
 }

@@ -7,22 +7,25 @@ import (
 )
 
 // Stage spans. The pipeline's logical stages — parse → check → lower →
-// interp/record → scan → region-analyze → tile-sweep → stride → report —
-// are recorded two ways at once:
+// interp/record → scan → region-analyze → sweep → stride → report — are
+// recorded two ways at once:
 //
 //   - into the Recorder, as a named span with wall-clock duration, a
 //     recorder-unique span id, and its parent stage (the innermost span
-//     open on the context when it started), aggregated per name so
-//     unbounded fan-out stays bounded; the parent links make the spans a
-//     tree (see trace.go), and every span's duration also feeds the
-//     "stage:<name>" latency histogram;
+//     open on the context when it started); the parent links make the
+//     spans a tree (see trace.go), and every span's duration feeds the
+//     "stage:<name>" latency histogram, whose exact count, sum and max are
+//     the stage's span_totals entry;
 //   - into the Go execution tracer, as a runtime/trace Task plus Region,
 //     so `vectrace analyze -exectrace` output groups goroutine activity
 //     under the logical stage names in `go tool trace`.
 //
-// Context-free inner stages (per-tile sweeps, per-region analyses inside
-// worker goroutines) use the allocation-free Timer variant, which feeds
-// the same per-name aggregates without materializing a span per unit.
+// Context-free inner stages (per-region sweeps and analyses inside worker
+// goroutines) use the allocation-free Timer variant, which feeds the same
+// stage histogram without materializing a span per unit.
+
+// stagePrefix keys the per-stage latency histograms.
+const stagePrefix = "stage:"
 
 // spanRef is the context-carried identity of an open span.
 type spanRef struct {
@@ -131,34 +134,26 @@ func (r *Recorder) StartTimer(name string) Timer {
 	return Timer{rec: r, name: name, start: time.Now()}
 }
 
-// Stop records the elapsed time into the per-name aggregates and the
-// stage histogram (not the individual span list — inner stages fan out
-// per tile/region and only their distribution matters). No-op on the zero
-// Timer.
+// Stop records the elapsed time into the stage histogram (not the
+// individual span list — inner stages fan out per region and only their
+// distribution matters). No-op on the zero Timer.
 func (t Timer) Stop() {
 	if t.rec == nil {
 		return
 	}
-	d := time.Since(t.start)
-	t.rec.recordAgg(t.name, d)
-	t.rec.Hist("stage:" + t.name).Observe(d)
+	t.rec.Hist(stagePrefix + t.name).Observe(time.Since(t.start))
 }
 
-// recordSpan files one finished span: always into the per-name aggregate
-// and the "stage:<name>" histogram, and into the individual list while
-// under the global and per-name caps.
+// recordSpan files one finished span: always into the "stage:<name>"
+// histogram, and into the individual list while under the global cap and
+// the per-name cap, which reads the histogram's count.
 func (r *Recorder) recordSpan(name string, id uint64, parent string, parentID uint64, start time.Time, d time.Duration) {
 	rel := start.Sub(r.start).Nanoseconds()
-	r.Hist("stage:" + name).Observe(d)
+	h := r.Hist(stagePrefix + name)
+	h.Observe(d)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	agg := r.agg(name)
-	agg.Count++
-	agg.TotalNs += d.Nanoseconds()
-	if ns := d.Nanoseconds(); ns > agg.MaxNs {
-		agg.MaxNs = ns
-	}
-	if len(r.spans) >= maxRecordedSpans || agg.Count > maxSpansPerName {
+	if len(r.spans) >= maxRecordedSpans || h.Count() > maxSpansPerName {
 		r.spansDropped++
 		return
 	}
@@ -170,27 +165,4 @@ func (r *Recorder) recordSpan(name string, id uint64, parent string, parentID ui
 		StartNs:  rel,
 		DurNs:    d.Nanoseconds(),
 	})
-}
-
-// recordAgg updates only the per-name aggregate (Timer path).
-func (r *Recorder) recordAgg(name string, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	agg := r.agg(name)
-	agg.Count++
-	agg.TotalNs += d.Nanoseconds()
-	if ns := d.Nanoseconds(); ns > agg.MaxNs {
-		agg.MaxNs = ns
-	}
-}
-
-// agg returns the named aggregate, creating it on first use. Callers hold
-// r.mu.
-func (r *Recorder) agg(name string) *SpanAgg {
-	a := r.aggs[name]
-	if a == nil {
-		a = &SpanAgg{}
-		r.aggs[name] = a
-	}
-	return a
 }

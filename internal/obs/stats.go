@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"sort"
 )
 
 // RunStats is the versioned machine-readable summary of one analysis run:
-// the document `-stats out.json` emits and the BENCH_<rev>.json perf
-// trajectory stores. Schema evolution rule: bump SchemaVersion on any
+// the document `-stats out.json` emits, vectraced serves at /statsz, and
+// a finished job carries as its stats. Schema evolution rule: bump SchemaVersion on any
 // incompatible change (renamed/removed keys); adding keys is compatible.
 // ValidateRunStats is the golden-style key check CI runs against emitted
 // documents.
@@ -31,7 +30,8 @@ type RunStats struct {
 	// (bounded; see SpansDropped).
 	Spans []SpanStats `json:"spans"`
 	// SpanTotals aggregates every span and timer by stage name, including
-	// ones past the individual-span caps.
+	// ones past the individual-span caps: the count, sum and max of the
+	// matching "stage:<name>" histogram.
 	SpanTotals map[string]SpanAgg `json:"span_totals"`
 	// SpansDropped counts spans elided from Spans by the caps.
 	SpansDropped int64 `json:"spans_dropped"`
@@ -59,16 +59,11 @@ type RunStats struct {
 // admission (jobs_admitted, jobs_rejected), job terminal states
 // (jobs_completed, jobs_failed, jobs_cancelled), the content-addressed
 // result cache (cache_hits, cache_misses), and the queue-depth high-water
-// mark (queue_depth_peak). CLI runs export them as zeros; vecbench -serve
-// additionally folds serve_p99_ms and serve_cache_hit_rate into the stats
-// config, so the BENCH_<rev>.json trajectory tracks service latency next
-// to analysis throughput. Version 5 added the required "histograms" key
-// (per-stage and per-endpoint log-bucket latency distributions with
-// p50/p95/p99 estimates), span ids and parent links on span entries
-// (span_id / parent_span_id — the trace-tree form served at
-// /v1/jobs/{id}/trace), and the optional trace_id; vecbench -serve folds
-// the server-observed serve_server_p50_ms / serve_server_p99_ms beside
-// the client-observed latencies.
+// mark (queue_depth_peak). CLI runs export them as zeros. Version 5 added
+// the required "histograms" key (per-stage and per-endpoint log-bucket
+// latency distributions with p50/p95/p99 estimates), span ids and parent
+// links on span entries (span_id / parent_span_id — the trace-tree form
+// served at /v1/jobs/{id}/trace), and the optional trace_id.
 const RunStatsVersion = 5
 
 // SpanStats is one recorded stage span. StartNs is relative to the
@@ -127,41 +122,26 @@ type FailureSummary struct {
 	CorruptAtByte int64  `json:"corrupt_at_byte"`
 }
 
-// Stats exports the recorder's current state as a RunStats document.
-// Safe on a nil recorder (returns a valid empty document), so the export
-// path needs no separate "was observability on" branch.
-func (r *Recorder) Stats(tool string, config map[string]any) *RunStats {
+// RunStats renders the snapshot as a RunStats document. The zero snapshot
+// (from a nil recorder) renders a valid empty document, so the export path
+// needs no separate "was observability on" branch.
+func (s Snapshot) RunStats(tool string, config map[string]any) *RunStats {
 	rs := &RunStats{
 		SchemaVersion: RunStatsVersion,
 		Tool:          tool,
 		Config:        config,
-		Counters:      make(map[string]int64, numCounters),
-		SpanTotals:    map[string]SpanAgg{},
-		Spans:         []SpanStats{},
-		Histograms:    map[string]HistogramStats{},
-		Failures:      FailureSummary{CorruptAtByte: -1},
+		DurationNs:    s.Elapsed.Nanoseconds(),
+		Counters:      s.CounterMap(),
+		Spans:         append([]SpanStats{}, s.Spans...),
+		SpanTotals:    s.SpanTotals(),
+		SpansDropped:  s.SpansDropped,
+		Histograms:    make(map[string]HistogramStats, len(s.Histograms)),
+		TraceID:       s.TraceID,
+		Failures:      s.Failures,
 	}
-	for c := Counter(0); c < numCounters; c++ {
-		rs.Counters[c.Name()] = r.Get(c)
+	for name, h := range s.Histograms {
+		rs.Histograms[name] = h.Stats()
 	}
-	if r == nil {
-		return rs
-	}
-	rs.DurationNs = r.Elapsed().Nanoseconds()
-	rs.TraceID = r.TraceID()
-	r.eachHist(func(name string, h *Histogram) {
-		rs.Histograms[name] = h.Snapshot().Stats()
-	})
-	r.mu.Lock()
-	rs.Spans = append(rs.Spans, r.spans...)
-	for name, agg := range r.aggs {
-		rs.SpanTotals[name] = *agg
-	}
-	rs.SpansDropped = r.spansDropped
-	rs.Failures.First = r.firstFailure
-	rs.Failures.CorruptAtByte = r.corruptByte
-	r.mu.Unlock()
-	rs.Failures.RegionsFailed = r.Get(RegionsFailed)
 	return rs
 }
 
@@ -270,22 +250,4 @@ func ValidateRunStats(data []byte) error {
 		return fmt.Errorf("obs: failures malformed: %w", err)
 	}
 	return nil
-}
-
-// BenchStatsPath returns the conventional perf-trajectory filename for the
-// current build, BENCH_<rev>.json, where <rev> is the VCS revision baked
-// into the binary (12 hex digits) or "dev" for non-VCS builds. vecbench
-// resolves `-stats auto` through this, so CI runs land one stats document
-// per revision without shelling out to git.
-func BenchStatsPath() string {
-	rev := "dev"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && len(s.Value) >= 12 {
-				rev = s.Value[:12]
-				break
-			}
-		}
-	}
-	return fmt.Sprintf("BENCH_%s.json", rev)
 }

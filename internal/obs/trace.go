@@ -122,17 +122,6 @@ func (r *Recorder) EnsureTraceID() string {
 	return id
 }
 
-// TraceID returns the recorder's trace id ("" when none was set or
-// generated yet, and on nil).
-func (r *Recorder) TraceID() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traceID
-}
-
 // NewSpanID allocates the next span id (0 on a nil recorder).
 func (r *Recorder) NewSpanID() uint64 {
 	if r == nil {
@@ -167,42 +156,37 @@ type TraceTree struct {
 	Roots        []*TraceSpan `json:"roots"`
 }
 
-// TraceTree assembles the recorder's spans into a parent-linked tree.
+// TraceTree assembles the snapshot's spans into a parent-linked tree.
 // Spans whose parent was dropped by the recording caps (or not yet ended)
-// surface as roots rather than disappearing. Safe on nil (empty tree).
-func (r *Recorder) TraceTree() *TraceTree {
-	t := &TraceTree{Roots: []*TraceSpan{}}
-	if r == nil {
-		return t
+// surface as roots rather than disappearing. The zero snapshot renders
+// the empty tree.
+func (s Snapshot) TraceTree() *TraceTree {
+	t := &TraceTree{
+		TraceID:            s.TraceID,
+		RemoteParentSpanID: s.RemoteParentSpanID,
+		SpansDropped:       s.SpansDropped,
+		Roots:              []*TraceSpan{},
 	}
-	r.mu.Lock()
-	t.TraceID = r.traceID
-	t.RemoteParentSpanID = r.remoteParent
-	t.SpansDropped = r.spansDropped
-	spans := make([]SpanStats, len(r.spans))
-	copy(spans, r.spans)
-	r.mu.Unlock()
-
-	nodes := make(map[uint64]*TraceSpan, len(spans))
-	for _, s := range spans {
-		if s.ID == 0 {
+	nodes := make(map[uint64]*TraceSpan, len(s.Spans))
+	for _, sp := range s.Spans {
+		if sp.ID == 0 {
 			continue
 		}
-		nodes[s.ID] = &TraceSpan{
-			Name:         s.Name,
-			SpanID:       SpanIDString(s.ID),
-			ParentSpanID: SpanIDString(s.ParentID),
-			StartNs:      s.StartNs,
-			DurNs:        s.DurNs,
+		nodes[sp.ID] = &TraceSpan{
+			Name:         sp.Name,
+			SpanID:       SpanIDString(sp.ID),
+			ParentSpanID: SpanIDString(sp.ParentID),
+			StartNs:      sp.StartNs,
+			DurNs:        sp.DurNs,
 		}
 	}
 	t.SpanCount = len(nodes)
-	for _, s := range spans {
-		n := nodes[s.ID]
+	for _, sp := range s.Spans {
+		n := nodes[sp.ID]
 		if n == nil {
 			continue
 		}
-		if p := nodes[s.ParentID]; p != nil && s.ParentID != s.ID {
+		if p := nodes[sp.ParentID]; p != nil && sp.ParentID != sp.ID {
 			p.Children = append(p.Children, n)
 		} else {
 			if n.ParentSpanID == "" && t.RemoteParentSpanID != "" {

@@ -34,15 +34,15 @@ func TestParseTraceparent(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		"00-" + tid + "-" + pid,                                  // missing flags
-		"ff-" + tid + "-" + pid + "-01",                          // version ff reserved
-		"00-" + strings.Repeat("0", 32) + "-" + pid + "-01",      // all-zero trace id
-		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01",      // all-zero parent id
-		"00-" + strings.ToUpper(tid) + "-" + pid + "-01",         // uppercase hex
-		"00-" + tid[:31] + "-" + pid + "-01",                     // short trace id
-		"00-" + tid + "x-" + pid + "-01",                         // bad length + non-hex
-		"00-" + tid + "-" + pid[:15] + "g-01",                    // non-hex parent
-		"0-" + tid + "-" + pid + "-01",                           // short version
+		"00-" + tid + "-" + pid,         // missing flags
+		"ff-" + tid + "-" + pid + "-01", // version ff reserved
+		"00-" + strings.Repeat("0", 32) + "-" + pid + "-01", // all-zero trace id
+		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01", // all-zero parent id
+		"00-" + strings.ToUpper(tid) + "-" + pid + "-01",    // uppercase hex
+		"00-" + tid[:31] + "-" + pid + "-01",                // short trace id
+		"00-" + tid + "x-" + pid + "-01",                    // bad length + non-hex
+		"00-" + tid + "-" + pid[:15] + "g-01",               // non-hex parent
+		"0-" + tid + "-" + pid + "-01",                      // short version
 	}
 	for _, h := range bad {
 		if gt, gp, ok := ParseTraceparent(h); ok {
@@ -97,7 +97,7 @@ func TestSetTraceParent(t *testing.T) {
 	if got := r.EnsureTraceID(); got != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("trace id = %q, want first write to win", got)
 	}
-	tree := r.TraceTree()
+	tree := r.Snapshot().TraceTree()
 	if tree.RemoteParentSpanID != "b7ad6b7169203331" {
 		t.Errorf("remote parent = %q", tree.RemoteParentSpanID)
 	}
@@ -121,7 +121,7 @@ func TestTraceTree(t *testing.T) {
 	parse.End()
 	r.RecordSpanAt("job", root, 0, "", submitted, 10*time.Millisecond)
 
-	tree := r.TraceTree()
+	tree := r.Snapshot().TraceTree()
 	if tree.TraceID != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("tree trace id = %q", tree.TraceID)
 	}
@@ -157,7 +157,7 @@ func TestTraceTree(t *testing.T) {
 func TestTraceTreeOrphans(t *testing.T) {
 	r := New()
 	r.RecordSpanAt("stray", r.NewSpanID(), 999, "gone", time.Now(), time.Millisecond)
-	tree := r.TraceTree()
+	tree := r.Snapshot().TraceTree()
 	if len(tree.Roots) != 1 || tree.Roots[0].Name != "stray" {
 		t.Errorf("orphan not surfaced as root: %+v", tree.Roots)
 	}

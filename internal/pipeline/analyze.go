@@ -466,7 +466,7 @@ func analyzeRegions(ctx context.Context, mod *ir.Module, spec Spec, drive func(t
 			if feedErr == nil {
 				// Chunks keep draining after a feed error (the region is
 				// degraded, not the stream): stopping would deadlock the feed.
-				sw := rec.StartTimer("tile-sweep")
+				sw := rec.StartTimer("sweep")
 				feedErr = core.Guard(0, "region", -1, func() error {
 					for _, ev := range chunk {
 						if err := k.Feed(ev.ID, ev.Addr); err != nil {

@@ -166,13 +166,13 @@ func TestObservedCountersCohere(t *testing.T) {
 		t.Error("TilesDispatched never recorded")
 	}
 
-	rs := rec.Stats("test", nil)
+	rs := rec.Snapshot().RunStats("test", nil)
 	for _, stage := range []string{"region-analyze"} {
 		if _, ok := rs.SpanTotals[stage]; !ok {
 			t.Errorf("span_totals missing stage %q (have %v)", stage, keys(rs.SpanTotals))
 		}
 	}
-	for _, timer := range []string{"region", "tile-sweep", "stride"} {
+	for _, timer := range []string{"region", "sweep", "stride"} {
 		agg, ok := rs.SpanTotals[timer]
 		if !ok || agg.Count < 1 {
 			t.Errorf("span_totals missing timer %q (have %v)", timer, keys(rs.SpanTotals))
@@ -217,7 +217,7 @@ func TestObservedFailurePath(t *testing.T) {
 	if !ok {
 		t.Fatalf("no corrupt offset in error chain: %v", obsErr)
 	}
-	rs := rec.Stats("test", nil)
+	rs := rec.Snapshot().RunStats("test", nil)
 	if rs.Failures.CorruptAtByte != off {
 		t.Errorf("stats corrupt_at_byte = %d, want %d", rs.Failures.CorruptAtByte, off)
 	}

@@ -155,7 +155,7 @@ func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, cop
 	rec := obs.FromContext(ctx)
 	k := core.AcquireStreamKernel(sub.Module, dopts, copts, rec)
 	defer k.Release()
-	sw := rec.StartTimer("tile-sweep")
+	sw := rec.StartTimer("sweep")
 	for i, ev := range sub.Events {
 		if i%4096 == 4095 {
 			if err := core.Canceled(ctx); err != nil {

@@ -85,7 +85,7 @@ func (j *Job) status(withCounters bool) statusDoc {
 	}
 	j.mu.Unlock()
 	if withCounters {
-		d.Counters = j.rec.Stats("job", nil).Counters
+		d.Counters = j.rec.Snapshot().CounterMap()
 	}
 	return d
 }
@@ -96,7 +96,7 @@ func (j *Job) result() resultDoc {
 	j.mu.Lock()
 	d.Report = json.RawMessage(j.reportJS)
 	j.mu.Unlock()
-	d.Stats = j.rec.Stats("job", nil)
+	d.Stats = j.rec.Snapshot().RunStats("job", nil)
 	return d
 }
 
@@ -112,28 +112,30 @@ func (j *Job) result() resultDoc {
 //	GET    /healthz             liveness + queue depth
 //	GET    /statsz              service RunStats document
 //	GET    /metrics             Prometheus text exposition
-//	GET    /debug/vars          expvar JSON (/vars is a deprecated alias)
 //	GET    /debug/flight        flight-recorder event dump
 //
 // The whole mux is wrapped by withObs: per-endpoint latency histograms
 // plus sampled structured access records.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/report", s.handleReport)
-	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/tables/{n}", s.handleTable)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
-	mux.Handle("GET /metrics", obs.MetricsHandler(s.rec))
-	mux.Handle("GET /debug/vars", obs.VarsHandler(false))
-	mux.Handle("GET /vars", obs.VarsHandler(true))
-	mux.Handle("GET /debug/flight", obs.FlightHandler(s.flight))
-	return s.withObs(mux)
+	routes := map[string]bool{}
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, h)
+		routes[pattern] = true
+	}
+	handle("POST /v1/jobs", s.handleSubmit)
+	handle("GET /v1/jobs/{id}", s.handleStatus)
+	handle("GET /v1/jobs/{id}/result", s.handleResult)
+	handle("GET /v1/jobs/{id}/report", s.handleReport)
+	handle("GET /v1/jobs/{id}/progress", s.handleProgress)
+	handle("GET /v1/jobs/{id}/trace", s.handleTrace)
+	handle("DELETE /v1/jobs/{id}", s.handleCancel)
+	handle("GET /v1/tables/{n}", s.handleTable)
+	handle("GET /healthz", s.handleHealthz)
+	handle("GET /statsz", s.handleStatsz)
+	handle("GET /metrics", obs.MetricsHandler(s.rec).ServeHTTP)
+	handle("GET /debug/flight", obs.FlightHandler(s.flight).ServeHTTP)
+	return s.withObs(mux, routes)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -176,6 +176,8 @@ type Job struct {
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
 
+	// traceID is the job's W3C trace id, fixed at admission.
+	traceID string
 	// rootSpan is the pre-allocated id of the job's root "job" span: it
 	// exists from admission (so the submit response can echo a complete
 	// traceparent) but its SpanStats entry is only filed when the job
@@ -214,14 +216,14 @@ func newJob(base context.Context, id string, spec JobSpec, source string, payloa
 	if traceID != "" {
 		j.rec.SetTraceParent(traceID, parentSpan)
 	}
-	j.rec.EnsureTraceID()
+	j.traceID = j.rec.EnsureTraceID()
 	j.rootSpan = j.rec.NewSpanID()
 	j.ctx, j.cancel = context.WithCancelCause(base)
 	return j
 }
 
 // TraceID returns the job's W3C trace id.
-func (j *Job) TraceID() string { return j.rec.TraceID() }
+func (j *Job) TraceID() string { return j.traceID }
 
 // Traceparent returns the traceparent header value identifying the job's
 // root span — what the submit response echoes back to the client.
@@ -230,7 +232,7 @@ func (j *Job) Traceparent() string {
 }
 
 // TraceTree returns the job's span tree as recorded so far.
-func (j *Job) TraceTree() *obs.TraceTree { return j.rec.TraceTree() }
+func (j *Job) TraceTree() *obs.TraceTree { return j.rec.Snapshot().TraceTree() }
 
 // State returns the job's current state.
 func (j *Job) State() string {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -277,13 +278,14 @@ func TestLifecycleObservability(t *testing.T) {
 	}
 
 	// The finished job's histograms folded into the service recorder.
-	if hs, ok := s.rec.HistSnapshot("job"); !ok || hs.Count != 1 {
+	hists := s.rec.Snapshot().Histograms
+	if hs, ok := hists["job"]; !ok || hs.Count != 1 {
 		t.Errorf("service job histogram = %+v ok=%v, want one observation", hs, ok)
 	}
-	if _, ok := s.rec.HistSnapshot("stage:interp"); !ok {
+	if _, ok := hists["stage:interp"]; !ok {
 		t.Error("service recorder has no merged stage:interp histogram")
 	}
-	if _, ok := s.rec.HistSnapshot("http:POST /v1/jobs"); !ok {
+	if _, ok := hists["http:POST /v1/jobs"]; !ok {
 		t.Error("middleware recorded no endpoint histogram")
 	}
 
@@ -381,4 +383,62 @@ func (l *lockedBuffer) String() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.b.String()
+}
+
+// TestRouteLabelCardinality: clients choose paths and methods, so a label
+// built from them would let any client mint histograms and /metrics
+// series without bound. Bogus paths under and outside the job routes and
+// unknown methods on real routes must all share one "other" histogram,
+// and job ids must collapse into their route's label.
+func TestRouteLabelCardinality(t *testing.T) {
+	s := newTestServer(t, Config{Queue: 4, Workers: 1, Recorder: obs.New()})
+	h := s.Handler()
+	serve := func(method, path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+		return w
+	}
+	httpHists := func() map[string]obs.HistogramSnapshot {
+		out := map[string]obs.HistogramSnapshot{}
+		for name, hs := range s.rec.Snapshot().Histograms {
+			if strings.HasPrefix(name, "http:") {
+				out[name] = hs
+			}
+		}
+		return out
+	}
+	for _, path := range []string{"/healthz", "/statsz", "/metrics", "/metrics", "/v1/jobs/j0"} {
+		serve(http.MethodGet, path)
+	}
+	before := len(httpHists())
+
+	const n = 40
+	for i := 0; i < n; i++ {
+		serve(http.MethodGet, fmt.Sprintf("/v1/jobs/j1/bogus%d", i))
+		serve(http.MethodGet, fmt.Sprintf("/v1/jobs/j%d/x/y", i))
+		serve(http.MethodGet, fmt.Sprintf("/nowhere/%d", i))
+		serve(fmt.Sprintf("FOO%d", i), "/v1/jobs")
+		serve(fmt.Sprintf("FOO%d", i), "/healthz")
+		serve(http.MethodGet, fmt.Sprintf("/v1/jobs/j%d", i)) // a real route
+	}
+	after := httpHists()
+	if added := len(after) - before; added > 1 {
+		var names []string
+		for name := range after {
+			names = append(names, name)
+		}
+		t.Errorf("%d requests added %d http histograms, want at most 1 (other): %v",
+			6*n, added, names)
+	}
+	if got := after["http:other"].Count; got != 5*n {
+		t.Errorf("http:other count = %d, want %d", got, 5*n)
+	}
+	if got := after["http:GET /v1/jobs/{id}"].Count; got != n+1 {
+		t.Errorf("http:GET /v1/jobs/{id} count = %d, want %d", got, n+1)
+	}
+
+	body := serve(http.MethodGet, "/metrics").Body.String()
+	if series := strings.Count(body, "vectrace_http_request_duration_seconds_count{"); series != len(after) {
+		t.Errorf("/metrics has %d endpoint series, want %d", series, len(after))
+	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -42,39 +41,27 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // Flusher / deadline controls through this wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// routeLabel normalizes a request path to its route pattern, so the
-// per-endpoint histograms have bounded label cardinality no matter how
-// many job ids flow through. Unknown paths collapse into one label.
-func routeLabel(r *http.Request) string {
-	path := r.URL.Path
-	switch {
-	case path == "/v1/jobs" || path == "/healthz" || path == "/statsz" ||
-		path == "/metrics" || path == "/debug/vars" || path == "/vars" || path == "/debug/flight":
-		// Fixed routes keep their own label.
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		rest := strings.TrimPrefix(path, "/v1/jobs/")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			path = "/v1/jobs/{id}/" + rest[i+1:]
-		} else {
-			path = "/v1/jobs/{id}"
-		}
-	case strings.HasPrefix(path, "/v1/tables/"):
-		path = "/v1/tables/{n}"
-	default:
-		path = "other"
+// routeLabel is the request's route for the per-endpoint histograms and
+// access records: the mux pattern that matches it, when that pattern is
+// one of the registered routes, and "other" for everything else — an
+// unknown path or method, or a mux redirect. The label set is the route
+// table plus one, so no client can mint new histograms or /metrics series.
+func routeLabel(mux *http.ServeMux, routes map[string]bool, r *http.Request) string {
+	if _, pattern := mux.Handler(r); routes[pattern] {
+		return pattern
 	}
-	return r.Method + " " + path
+	return "other"
 }
 
 // withObs wraps the API mux with per-endpoint latency recording and
-// structured access logging.
-func (s *Server) withObs(next http.Handler) http.Handler {
+// structured access logging; routes is the mux's registered pattern set.
+func (s *Server) withObs(mux *http.ServeMux, routes map[string]bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		next.ServeHTTP(sw, r)
+		mux.ServeHTTP(sw, r)
 		dur := time.Since(start)
-		label := routeLabel(r)
+		label := routeLabel(mux, routes, r)
 		s.rec.ObserveDur("http:"+label, dur)
 		if s.logger != nil {
 			status := sw.status

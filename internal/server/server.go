@@ -310,7 +310,7 @@ func (s *Server) QueueDepth() int { return s.queue.Depth() }
 
 // Stats exports the service-level RunStats document.
 func (s *Server) Stats() *obs.RunStats {
-	return s.rec.Stats("vectraced", map[string]any{
+	return s.rec.Snapshot().RunStats("vectraced", map[string]any{
 		"queue":   s.cfg.Queue,
 		"workers": s.cfg.Workers,
 	})
@@ -426,7 +426,7 @@ func (s *Server) runJob(j *Job) {
 	total := time.Since(j.submitted)
 	j.rec.RecordSpanAt("job", j.rootSpan, 0, "", j.submitted, total)
 	j.rec.ObserveDur("job", total)
-	s.rec.MergeHistsFrom(j.rec)
+	s.rec.AddHistograms(j.rec.Snapshot().Histograms)
 
 	kind := flightKind(state)
 	detail := ""
