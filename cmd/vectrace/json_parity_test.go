@@ -37,7 +37,7 @@ func TestAnalyzeJSONParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			regs, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod},
-				pipeline.Spec{Line: 11, Instance: tc.instance})
+				pipeline.Spec{Line: 11, Instances: []int{tc.instance}})
 			if err != nil {
 				t.Fatal(err)
 			}

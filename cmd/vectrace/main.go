@@ -482,7 +482,7 @@ func analyzeCmd(file, src string, rest []string) error {
 			source.Trace = o
 		}
 		regs, err := pipeline.Analyze(ctx, source, pipeline.Spec{
-			Line: *line, Instance: *instance, DDG: opts, Core: copts, ScanWorkers: tf.ScanWorkers,
+			Line: *line, Instances: []int{*instance}, DDG: opts, Core: copts, ScanWorkers: tf.ScanWorkers,
 		})
 		if *instance < 0 || (*jsonOut && len(regs) > 0) {
 			printRegions(regs, err)

@@ -37,7 +37,7 @@ func main() {
 	// 2. What does the dynamic analysis say? Analyze the first dynamic
 	// region of the time loop.
 	regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod},
-		pipeline.Spec{Line: orig.LineOf("@time-loop"), Instance: 0})
+		pipeline.Spec{Line: orig.LineOf("@time-loop"), Instances: []int{0}})
 	if err != nil {
 		log.Fatal(err)
 	}

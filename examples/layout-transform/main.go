@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod},
-		pipeline.Spec{Line: cs.Original.LineOf("@hot"), Instance: 0})
+		pipeline.Spec{Line: cs.Original.LineOf("@hot"), Instances: []int{0}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 		}
 		regs, err := pipeline.Analyze(context.Background(),
 			pipeline.Source{Module: mod, Events: &trace.SliceSource{Events: tr.Events}},
-			pipeline.Spec{Line: k.LineOf("@hot"), Instance: 0})
+			pipeline.Spec{Line: k.LineOf("@hot"), Instances: []int{0}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func TestAnalyzeRegionsDeadline(t *testing.T) {
 	}
 	analyze := func(ctx context.Context, copts core.Options) ([]pipeline.RegionReport, error) {
 		src := pipeline.Source{Module: tr.Module, Events: &trace.SliceSource{Events: tr.Events}}
-		return pipeline.Analyze(ctx, src, pipeline.Spec{Line: faultKernelInnerLine, Instance: -1, Core: copts})
+		return pipeline.Analyze(ctx, src, pipeline.Spec{Line: faultKernelInnerLine, Instances: []int{-1}, Core: copts})
 	}
 	// Total work units = regions x candidates per region, from a no-fault run.
 	regs, err := analyze(context.Background(), core.Options{Workers: 1})

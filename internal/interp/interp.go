@@ -47,12 +47,6 @@ func (s *TraceSink) ExecBatch(events []Event) {
 	s.Events = append(s.Events, events...)
 }
 
-// Reset empties the sink while retaining the backing slice's capacity, so
-// a pooled sink reused across runs stops regrowing its event buffer.
-func (s *TraceSink) Reset() {
-	s.Events = s.Events[:0]
-}
-
 // Config controls execution limits and instrumentation.
 type Config struct {
 	// Tracer observes every executed instruction; nil disables tracing.
@@ -63,6 +57,7 @@ type Config struct {
 	// MaxDepth bounds call-stack depth (0 means 10000).
 	MaxDepth int
 	// StackSize is the per-execution stack arena in bytes (0 means 8 MiB).
+	// It is a cap: the arena starts small and doubles on demand up to it.
 	StackSize int64
 	// CountLoopCycles enables per-loop cycle attribution (see Result.LoopCycles).
 	CountLoopCycles bool
@@ -127,6 +122,11 @@ type Result struct {
 	// calls — a loop inside a callee is a run-time child of the calling
 	// loop, which is how profilers attribute inclusive time.
 	LoopParents map[int]int
+	// LoopEntries counts each loop's dynamic entries (executions of its
+	// loop.begin marker). Every entry opens exactly one dynamic region, so
+	// this is the region count trace.Trace.Regions would report, known
+	// without a trace. Populated when Config.CountLoopCycles is set.
+	LoopEntries map[int]int64
 	// Output collects values passed to the print/printi builtins, in order.
 	Output []float64
 	// FPOps counts executed candidate floating-point operations.
@@ -234,6 +234,7 @@ type Machine struct {
 	Cfg Config
 
 	mem       []byte
+	memCap    int64 // the arena's full size: globals plus Config.StackSize
 	frames    []frame
 	stackTop  int64
 	frameBase int64 // first stack address; below it lie the globals
@@ -292,15 +293,15 @@ func (m *Machine) runWith(ctx context.Context, entry string, dispatch func(*Mach
 		return nil, fmt.Errorf("interp: entry function %q must take no parameters", entry)
 	}
 
-	memSize := m.Mod.GlobalsEnd() + m.Cfg.StackSize
-	m.mem = make([]byte, memSize)
-	for _, g := range m.Mod.Globals {
-		copy(m.mem[g.Addr:g.Addr+g.Size], g.Init)
-	}
 	m.stackTop = m.Mod.GlobalsEnd()
 	// Align the stack base.
 	m.stackTop = (m.stackTop + 15) / 16 * 16
 	m.frameBase = m.stackTop
+	m.memCap = m.Mod.GlobalsEnd() + m.Cfg.StackSize
+	m.mem = make([]byte, min(m.memCap, m.frameBase+initialStack))
+	for _, g := range m.Mod.Globals {
+		copy(m.mem[g.Addr:g.Addr+g.Size], g.Init)
+	}
 
 	m.res = Result{}
 	if m.Cfg.CountLoopCycles {
@@ -308,6 +309,7 @@ func (m *Machine) runWith(ctx context.Context, entry string, dispatch func(*Mach
 		m.res.LoopFPOps = make(map[int]int64)
 		m.res.LoopOps = make(map[int]*OpCounts)
 		m.res.LoopParents = make(map[int]int)
+		m.res.LoopEntries = make(map[int]int64)
 	}
 	m.frames = m.frames[:0]
 	m.loopStack = m.loopStack[:0]
@@ -321,6 +323,34 @@ func (m *Machine) runWith(ctx context.Context, entry string, dispatch func(*Mach
 	return &m.res, nil
 }
 
+// initialStack is the stack the arena starts with. Most programs never
+// outgrow it; deep recursion doubles the arena up to Config.StackSize.
+const initialStack = 64 << 10
+
+// reserve makes the arena cover addresses [0, end), doubling it (capped at
+// memCap) when end lies past its current length. It reports false when end
+// lies past the cap — the bytes the full arena would not have had. Growth
+// preserves contents and zero-fills, so a lazily grown arena is
+// indistinguishable from one allocated at its full size.
+//
+//go:noinline
+func (m *Machine) reserve(end int64) bool {
+	n := int64(len(m.mem))
+	if end <= n {
+		return true
+	}
+	if end > m.memCap {
+		return false
+	}
+	for n < end {
+		n *= 2
+	}
+	grown := make([]byte, min(n, m.memCap))
+	copy(grown, m.mem)
+	m.mem = grown
+	return true
+}
+
 // pushFrame reserves a callee frame in the stack arena. Arena exhaustion is
 // a resource-limit error (Config.StackSize, default 8 MiB), not a panic:
 // recursion depth is workload-dependent, so running out must degrade the
@@ -328,7 +358,7 @@ func (m *Machine) runWith(ctx context.Context, entry string, dispatch func(*Mach
 func (m *Machine) pushFrame(fn *ir.Function, retDst ir.Reg, retBlock, retIndex int32) error {
 	base := m.stackTop
 	m.stackTop += fn.FrameSize
-	if m.stackTop > int64(len(m.mem)) {
+	if !m.reserve(m.stackTop) {
 		m.stackTop = base
 		return fmt.Errorf("interp: stack overflow: frame for %s exhausts the %d-byte arena at call depth %d: %w",
 			fn.Name, m.Cfg.StackSize, len(m.frames), core.ErrResourceLimit)

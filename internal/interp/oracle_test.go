@@ -30,7 +30,7 @@ func (m *Machine) operand(f *frame, o ir.Operand) uint64 {
 }
 
 func (m *Machine) loadMem(addr int64, t ir.ScalarType) (uint64, error) {
-	if addr < ir.GlobalBase || addr+t.Size() > int64(len(m.mem)) {
+	if addr < ir.GlobalBase || !m.reserve(addr+t.Size()) {
 		return 0, fmt.Errorf("interp: load from invalid address %#x", addr)
 	}
 	switch t {
@@ -43,7 +43,7 @@ func (m *Machine) loadMem(addr int64, t ir.ScalarType) (uint64, error) {
 }
 
 func (m *Machine) storeMem(addr int64, t ir.ScalarType, v uint64) error {
-	if addr < ir.GlobalBase || addr+t.Size() > int64(len(m.mem)) {
+	if addr < ir.GlobalBase || !m.reserve(addr+t.Size()) {
 		return fmt.Errorf("interp: store to invalid address %#x", addr)
 	}
 	switch t {
@@ -280,6 +280,7 @@ func (m *Machine) loop(ctx context.Context) error {
 					}
 					m.res.LoopParents[int(in.Loop)] = parent
 				}
+				m.res.LoopEntries[int(in.Loop)]++
 			}
 			m.loopStack = append(m.loopStack, in.Loop)
 			f.loopsOpen++

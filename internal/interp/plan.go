@@ -531,7 +531,7 @@ func (m *Machine) planPushFrame(plan *Plan, fnIdx int32, retDst ir.Reg, retPC in
 	fp := &plan.funcs[fnIdx]
 	base := m.stackTop
 	m.stackTop += fn.FrameSize
-	if m.stackTop > int64(len(m.mem)) {
+	if !m.reserve(m.stackTop) {
 		m.stackTop = base
 		return fmt.Errorf("interp: stack overflow: frame for %s exhausts the %d-byte arena at call depth %d: %w",
 			fn.Name, m.Cfg.StackSize, len(m.frames), core.ErrResourceLimit)
@@ -787,9 +787,12 @@ func (m *Machine) planLoop(ctx context.Context, rec *obs.Recorder) error {
 		case pLoad:
 			addr := int64(regs[e.xReg])
 			if addr < ir.GlobalBase || addr+int64(e.size) > memLen {
-				m.res.Steps = steps
-				return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)",
-					fmt.Errorf("interp: load from invalid address %#x", addr), e.line))
+				if addr < ir.GlobalBase || !m.reserve(addr+int64(e.size)) {
+					m.res.Steps = steps
+					return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)",
+						fmt.Errorf("interp: load from invalid address %#x", addr), e.line))
+				}
+				mem, memLen = m.mem, int64(len(m.mem))
 			}
 			if e.typ == ir.F32 {
 				regs[e.dst] = math.Float64bits(float64(math.Float32frombits(binary.LittleEndian.Uint32(mem[addr:]))))
@@ -818,9 +821,12 @@ func (m *Machine) planLoop(ctx context.Context, rec *obs.Recorder) error {
 		case pStore:
 			addr := int64(regs[e.xReg])
 			if addr < ir.GlobalBase || addr+int64(e.size) > memLen {
-				m.res.Steps = steps
-				return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)",
-					fmt.Errorf("interp: store to invalid address %#x", addr), e.line))
+				if addr < ir.GlobalBase || !m.reserve(addr+int64(e.size)) {
+					m.res.Steps = steps
+					return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)",
+						fmt.Errorf("interp: store to invalid address %#x", addr), e.line))
+				}
+				mem, memLen = m.mem, int64(len(m.mem))
 			}
 			y := regs[e.yReg]
 			if e.typ == ir.F32 {
@@ -890,6 +896,8 @@ func (m *Machine) planLoop(ctx context.Context, rec *obs.Recorder) error {
 				m.res.Steps = steps
 				return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)", err, e.line))
 			}
+			// The push may have grown the arena.
+			mem, memLen = m.mem, int64(len(m.mem))
 			f = m.top()
 			copy(f.regs, m.args)
 			regs = f.regs
@@ -989,6 +997,7 @@ func (m *Machine) planLoop(ctx context.Context, rec *obs.Recorder) error {
 				if _, seen := m.res.LoopParents[int(e.a)]; !seen {
 					m.res.LoopParents[int(e.a)] = curLoop
 				}
+				m.res.LoopEntries[int(e.a)]++
 				acc.flushInto(&m.res, curLoop)
 			}
 			m.loopStack = append(m.loopStack, e.a)
@@ -1101,13 +1110,16 @@ func (m *Machine) planLoop(ctx context.Context, rec *obs.Recorder) error {
 			addr := int64(ptr)
 			isLoad := e.op == pPtrLoad
 			if addr < ir.GlobalBase || addr+int64(e.size) > memLen {
-				m.res.Steps = steps
-				what := "store to"
-				if isLoad {
-					what = "load from"
+				if addr < ir.GlobalBase || !m.reserve(addr+int64(e.size)) {
+					m.res.Steps = steps
+					what := "store to"
+					if isLoad {
+						what = "load from"
+					}
+					return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)",
+						fmt.Errorf("interp: %s invalid address %#x", what, addr), e.line))
 				}
-				return m.planFail(bt, batch, fmt.Errorf("%w (at line %d)",
-					fmt.Errorf("interp: %s invalid address %#x", what, addr), e.line))
+				mem, memLen = m.mem, int64(len(m.mem))
 			}
 			if addr >= fb {
 				cycles++

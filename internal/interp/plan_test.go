@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,6 +280,15 @@ void main() { printi(f(0)); }`, interp.Config{MaxDepth: 50}},
 		{"stack_overflow", `
 double g(double x) { double B[512]; B[0] = x; return g(x + B[0]); }
 void main() { print(g(1.0)); }`, interp.Config{StackSize: 1 << 16}},
+		{"stack_overflow_grown", `
+double g(double x) { double B[512]; B[0] = x; return g(x + B[0]); }
+void main() { print(g(1.0)); }`, interp.Config{}},
+		{"store_past_arena", `
+double A[4];
+void main() { double *p; p = A; p = p + 2000000; *p = 1.0; }`, interp.Config{}},
+		{"load_past_arena_indexed", `
+double A[4];
+void main() { int i; i = 2000000; print(A[i]); }`, interp.Config{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,6 +305,51 @@ void main() { print(g(1.0)); }`, interp.Config{StackSize: 1 << 16}},
 				t.Fatalf("error text differs:\noracle: %v\nplan:   %v", oErr, pErr)
 			}
 		})
+	}
+}
+
+// TestArenaGrowsOnDemand: the arena starts at the globals plus a small
+// stack and grows on demand, invisibly — recursion deeper than the initial
+// stack, and accesses through pointers past its initial end but inside the
+// full arena, behave as they would in an arena allocated at full size, on
+// both dispatchers; and running out of the full arena fails with the
+// unchanged text naming the configured size.
+func TestArenaGrowsOnDemand(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      []float64
+	}{
+		{"deep_recursion", `
+double g(int n) { double B[64]; B[n % 64] = n; if (n == 0) { return 0.0; } return B[n % 64] + g(n - 1); }
+void main() { print(g(2000)); }`, []float64{2001000}},
+		{"pointer_past_initial_end", `
+double A[4];
+void main() { double *p; int i; p = A; p = p + 200000; print(*p); *p = 2.5; i = 200000; print(A[i]); }`, []float64{0, 2.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, err := pipeline.Compile("t.c", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oRes, oErr := interp.New(mod, interp.Config{}).RunOracle(context.Background(), "main")
+			pRes, pErr := interp.New(mod, interp.Config{}).Run("main")
+			if oErr != nil || pErr != nil {
+				t.Fatalf("oracle %v, plan %v", oErr, pErr)
+			}
+			if !reflect.DeepEqual(oRes, pRes) || !reflect.DeepEqual(pRes.Output, tc.want) {
+				t.Fatalf("output: oracle %v, plan %v, want %v", oRes.Output, pRes.Output, tc.want)
+			}
+		})
+	}
+	mod, err := pipeline.Compile("t.c", `
+double g(double x) { double B[512]; B[0] = x; return g(x + B[0]); }
+void main() { print(g(1.0)); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = interp.New(mod, interp.Config{}).Run("main")
+	if err == nil || !strings.Contains(err.Error(), "exhausts the 8388608-byte arena") || !errors.Is(err, core.ErrResourceLimit) {
+		t.Fatalf("stack overflow error %v, want the 8388608-byte arena named as a resource limit", err)
 	}
 }
 
@@ -324,23 +379,6 @@ func TestPlanSharedAcrossMachines(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestTraceSinkReset checks Reset drops the events but keeps the backing
-// array for reuse.
-func TestTraceSinkReset(t *testing.T) {
-	s := &interp.TraceSink{}
-	for i := 0; i < 100; i++ {
-		s.Exec(int32(i), int64(i))
-	}
-	c := cap(s.Events)
-	s.Reset()
-	if len(s.Events) != 0 {
-		t.Fatalf("Reset left %d events", len(s.Events))
-	}
-	if cap(s.Events) != c {
-		t.Fatalf("Reset dropped capacity: %d, want %d", cap(s.Events), c)
 	}
 }
 

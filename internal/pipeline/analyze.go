@@ -46,9 +46,10 @@ type Source struct {
 type Spec struct {
 	// Line is the source line of the loop's "for"/"while" keyword.
 	Line int
-	// Instance selects one dynamic region by its index in close order;
-	// any negative value analyzes every region.
-	Instance int
+	// Instances selects dynamic regions by their index in close order,
+	// and their reports come back in this order. An empty list, or any
+	// negative entry, analyzes every region.
+	Instances []int
 	// DDG configures graph construction (e.g. integer characterization).
 	DDG ddg.Options
 	// Core configures the §3 analysis; Core.Workers sizes the region pool.
@@ -60,9 +61,11 @@ type Spec struct {
 }
 
 // Analyze analyzes the dynamic regions (loop entry to loop exit) of the
-// loop on spec.Line, reading src once.
+// loop on spec.Line, reading a recorded src once. A live src executes
+// once, or twice when listed instances sit in regions that recursion
+// nests (see analyzePicks).
 //
-// With spec.Instance < 0 every region is analyzed, fanned out across
+// When spec selects every region, each one is analyzed, fanned out across
 // spec.Core.WorkerCount() workers, and the reports come back in region
 // index order, identical for any worker count and source. Each region's
 // analysis runs with Workers=1 but otherwise inherits spec.Core. Region
@@ -78,10 +81,12 @@ type Spec struct {
 // the cancellation error. Regions that closed before the source failed are
 // still returned.
 //
-// With spec.Instance >= 0 only that region is analyzed, with spec.Core as
-// given, and returned as the single report. Memory is bounded by the
-// largest open region, a recorded trace is read no further than the
-// region's end, and any source failure fails the request.
+// Otherwise only the listed regions are analyzed, each with spec.Core as
+// given, and a per-region failure fails the request as well as filling
+// that region's Err. A live execution feeds the selected regions' kernels
+// as it runs and retains no events (see analyzePicks); a recorded trace
+// buffers one open region at a time and is read no further than the last
+// selected region's end. Any source failure fails the request.
 func Analyze(ctx context.Context, src Source, spec Spec) ([]RegionReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,23 +105,57 @@ func Analyze(ctx context.Context, src Source, spec Spec) ([]RegionReport, error)
 	if src.Trace != nil {
 		events = src.Trace.Source()
 	}
-	var want *instanceWant
-	if spec.Instance >= 0 {
-		want = &instanceWant{index: spec.Instance}
-		if events != nil {
-			events = untilSource{src: events, done: &want.found}
-		}
-	}
-	drive := func(factory trace.SinkFactory) (int, error) {
-		if events != nil {
+	switch {
+	case spec.everyRegion() && events != nil:
+		return analyzeRegions(ctx, mod, spec, func(factory trace.SinkFactory) (int, error) {
 			return trace.FeedRegions(ctx, mod, lm.ID, events, factory)
+		})
+	case spec.everyRegion():
+		return analyzeRegions(ctx, mod, spec, func(factory trace.SinkFactory) (int, error) {
+			return runLive(ctx, mod, lm.ID, src.Budget, factory)
+		})
+	case events != nil:
+		return analyzeInstances(ctx, mod, lm.ID, events, spec)
+	default:
+		return analyzePicks(ctx, mod, lm.ID, src.Budget, spec)
+	}
+}
+
+// everyRegion reports whether the spec selects every region.
+func (s Spec) everyRegion() bool {
+	if len(s.Instances) == 0 {
+		return true
+	}
+	for _, i := range s.Instances {
+		if i < 0 {
+			return true
 		}
-		return runLive(ctx, mod, lm.ID, src.Budget, factory)
 	}
-	if want != nil {
-		return analyzeInstance(ctx, mod, spec, want, drive)
+	return false
+}
+
+// missingRegion is the error of a selected-regions request naming a region
+// the loop never reached.
+func missingRegion(spec Spec, regions, index int) error {
+	return fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", spec.Line, regions, index)
+}
+
+// inSpecOrder lays the analyzed regions out in spec.Instances order and
+// returns them with their errors: the single error itself for one region,
+// else the errors joined in that order.
+func inSpecOrder(spec Spec, byIndex map[int]RegionReport) ([]RegionReport, error) {
+	out := make([]RegionReport, len(spec.Instances))
+	var errs []error
+	for i, idx := range spec.Instances {
+		out[i] = byIndex[idx]
+		if out[i].Err != nil {
+			errs = append(errs, out[i].Err)
+		}
 	}
-	return analyzeRegions(ctx, mod, spec, drive)
+	if len(errs) == 1 {
+		return out, errs[0]
+	}
+	return out, errors.Join(errs...)
 }
 
 // feedTracer adapts a RegionFeed to the interpreter's Tracer interface, so
@@ -150,11 +189,13 @@ func (s *feedTracer) ExecBatch(events []interp.Event) {
 // tracer, returning the number of regions closed and the first failure.
 // An interpreter failure (budget, cancellation, runtime error) comes back
 // as the interpreter reported it; the feed only aborts the open regions.
+// The execution summary is discarded, so the run skips per-loop cycle
+// attribution.
 func runLive(ctx context.Context, mod *ir.Module, loopID int, budget core.Budget, factory trace.SinkFactory) (int, error) {
 	feed := trace.NewRegionFeed(ctx, mod, loopID, factory)
 	sink := &feedTracer{feed: feed}
 	ictx, sp := obs.StartSpan(ctx, "interp")
-	_, err := interp.New(mod, interpConfig(budget, sink, true)).RunContext(ictx, "main")
+	_, err := interp.New(mod, interpConfig(budget, sink, false)).RunContext(ictx, "main")
 	sp.End()
 	if sink.err != nil {
 		return feed.Closed(), sink.err
@@ -246,16 +287,16 @@ func denseOnCancel(ctx context.Context, out []RegionReport) []RegionReport {
 	return out
 }
 
-// instanceWant is the single-region request: which close index is wanted
-// and, once that region has closed, its events.
+// instanceWant is a selected-regions request over a recorded stream: the
+// wanted close indices and, once each has closed, its events.
 type instanceWant struct {
-	index  int
-	found  bool
-	events []trace.Event
+	wanted map[int]bool
+	found  map[int][]trace.Event
+	done   bool // every wanted region has closed
 }
 
-// instanceSink buffers one open region's events; the region that closes
-// with the wanted index hands its buffer over, every other one drops it.
+// instanceSink buffers one open region's events; a region that closes with
+// a wanted index hands its buffer over, every other one drops it.
 type instanceSink struct {
 	want   *instanceWant
 	events []trace.Event
@@ -264,8 +305,9 @@ type instanceSink struct {
 func (s *instanceSink) Event(ev trace.Event) { s.events = append(s.events, ev) }
 
 func (s *instanceSink) Close(index int) {
-	if index == s.want.index {
-		s.want.events, s.want.found = s.events, true
+	if w := s.want; w.wanted[index] {
+		w.found[index] = s.events
+		w.done = len(w.found) == len(w.wanted)
 	}
 	s.events = nil
 }
@@ -273,7 +315,7 @@ func (s *instanceSink) Close(index int) {
 func (s *instanceSink) Abort() { s.events = nil }
 
 // untilSource ends its stream (io.EOF) once *done is set, so a recorded
-// trace is not read past the wanted region.
+// trace is not read past the last wanted region.
 type untilSource struct {
 	src  trace.EventSource
 	done *bool
@@ -286,17 +328,32 @@ func (s untilSource) Next() (trace.Event, error) {
 	return s.src.Next()
 }
 
-// analyzeInstance is Analyze's single-region path.
-func analyzeInstance(ctx context.Context, mod *ir.Module, spec Spec, want *instanceWant, drive func(trace.SinkFactory) (int, error)) ([]RegionReport, error) {
-	closed, err := drive(func() trace.RegionSink { return &instanceSink{want: want} })
+// analyzeInstances is Analyze's selected-regions path over a recorded
+// event stream, which can be read only once: every open region is buffered
+// until its close index says whether it was wanted.
+func analyzeInstances(ctx context.Context, mod *ir.Module, loopID int, events trace.EventSource, spec Spec) ([]RegionReport, error) {
+	want := &instanceWant{wanted: make(map[int]bool), found: make(map[int][]trace.Event)}
+	for _, idx := range spec.Instances {
+		want.wanted[idx] = true
+	}
+	closed, err := trace.FeedRegions(ctx, mod, loopID, untilSource{src: events, done: &want.done},
+		func() trace.RegionSink { return &instanceSink{want: want} })
 	if err != nil {
 		return nil, err
 	}
-	if !want.found {
-		return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", spec.Line, closed, spec.Instance)
+	for _, idx := range spec.Instances {
+		if _, ok := want.found[idx]; !ok {
+			return nil, missingRegion(spec, closed, idx)
+		}
 	}
-	rr := analyzeOne(ctx, &trace.Trace{Module: mod, Events: want.events}, spec.Instance, spec)
-	return []RegionReport{rr}, rr.Err
+	byIndex := make(map[int]RegionReport, len(want.found))
+	for _, idx := range spec.Instances {
+		if _, done := byIndex[idx]; !done {
+			byIndex[idx] = analyzeOne(ctx, &trace.Trace{Module: mod, Events: want.found[idx]}, idx, spec)
+			delete(want.found, idx)
+		}
+	}
+	return inSpecOrder(spec, byIndex)
 }
 
 // analyzeOne analyzes one materialized region with spec.Core as given —

@@ -4,7 +4,7 @@ package pipeline_test
 // — the live interpreter, a VTR1 stream, an indexed VTR2 container at any
 // scan fan-out, a VTR2 sequential walk, an in-memory slice — Analyze must
 // return the same reports and the same error texts, for every-region and
-// single-instance requests alike, with and without reduction relaxation.
+// selected-region requests alike, with and without reduction relaxation.
 
 import (
 	"bytes"
@@ -15,13 +15,14 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
 )
 
 // analyzeAll runs Analyze over every region of the loop on line.
 func analyzeAll(ctx context.Context, src pipeline.Source, line int, copts core.Options) ([]pipeline.RegionReport, error) {
-	return pipeline.Analyze(ctx, src, pipeline.Spec{Line: line, Instance: -1, Core: copts})
+	return pipeline.Analyze(ctx, src, pipeline.Spec{Line: line, Instances: []int{-1}, Core: copts})
 }
 
 // indexedSource is the Source of an opened VTR2 container with a verified
@@ -69,9 +70,37 @@ void main() {
 }
 `
 
+// recursiveSrc's inner loop re-enters itself through recursion: each
+// walk(0) call opens four nested regions that close innermost first, so
+// close indices and entry ordinals disagree, and the regions differ in
+// size by depth.
+const recursiveSrc = `
+double a[64];
+double s;
+void walk(int d) {
+  int i;
+  for (i = 0; i < 4; i++) {
+    a[d * 16 + i] = a[d * 16 + i] * 0.5 + s;
+    s = s + a[d * 16 + i + 4];
+    if (d < 3) {
+      if (i == 1) { walk(d + 1); }
+    }
+  }
+}
+void main() {
+  int t;
+  for (t = 0; t < 3; t++) { walk(0); }
+  print(s);
+}
+`
+
+// TestAnalyzeSourcesAgree: every source answers every selection — all
+// regions, one region, an out-of-range region, and the tables' first/
+// middle/last sample listed out of order with a repeat — with the same
+// reports and errors as the live every-region run.
 func TestAnalyzeSourcesAgree(t *testing.T) {
 	copts := []core.Options{{}, {RelaxReductions: true}}
-	programs := map[string]string{"triangular": triangularSrc}
+	programs := map[string]string{"triangular": triangularSrc, "recursive": recursiveSrc}
 	for seed := int64(500); seed < 506; seed++ {
 		programs[fmt.Sprintf("seed%d", seed)] = generateProgram(seed)
 	}
@@ -103,17 +132,22 @@ func TestAnalyzeSourcesAgree(t *testing.T) {
 			for _, line := range loopLines(mod) {
 				for _, co := range copts {
 					live := pipeline.Source{Module: mod}
-					all := analyzeResult(live, pipeline.Spec{Line: line, Instance: -1, Core: co})
-					instances := []int{-1, 0, len(all.regs)}
-					if len(all.regs) > 1 {
-						instances = append(instances, len(all.regs)-1)
-					}
-					for _, inst := range instances {
-						spec := pipeline.Spec{Line: line, Instance: inst, Core: co}
+					all := analyzeResult(live, pipeline.Spec{Line: line, Instances: []int{-1}, Core: co})
+					n := len(all.regs)
+					selections := [][]int{{-1}, {0}, {n}, {n - 1}, {n - 1, 0, n / 2, 0}}
+					for _, sel := range selections {
+						spec := pipeline.Spec{Line: line, Instances: sel, Core: co}
 						want := analyzeResult(live, spec)
-						if inst >= 0 && inst < len(all.regs) && !reflect.DeepEqual(want.regs, all.regs[inst:inst+1]) {
-							t.Fatalf("line %d instance %d %+v: single-instance report differs from the every-region run", line, inst, co)
+						if sel[0] >= 0 && sel[0] < n {
+							var picked []pipeline.RegionReport
+							for _, i := range sel {
+								picked = append(picked, all.regs[i])
+							}
+							if !reflect.DeepEqual(want.regs, picked) {
+								t.Fatalf("line %d instances %v %+v: selected reports differ from the every-region run", line, sel, co)
+							}
 						}
+						inst := sel
 						for _, s := range sources {
 							spec.ScanWorkers = s.scanWorkers
 							got := analyzeResult(s.src(), spec)
@@ -166,7 +200,7 @@ func TestAnalyzeInstanceFailureIsReturned(t *testing.T) {
 			{"slice", sliceSource(tr), 0},
 		} {
 			regs, err := pipeline.Analyze(context.Background(), s.src,
-				pipeline.Spec{Line: line, Instance: 2, Core: co, ScanWorkers: s.scanWorkers})
+				pipeline.Spec{Line: line, Instances: []int{2}, Core: co, ScanWorkers: s.scanWorkers})
 			label := fmt.Sprintf("%s relax=%v", s.name, co.RelaxReductions)
 			if len(regs) != 1 || regs[0].Err == nil {
 				t.Fatalf("%s: got %d reports, want one failed region", label, len(regs))
@@ -174,6 +208,44 @@ func TestAnalyzeInstanceFailureIsReturned(t *testing.T) {
 			if err == nil || err.Error() != regs[0].Err.Error() {
 				t.Fatalf("%s: error %v, want the region's %v", label, err, regs[0].Err)
 			}
+		}
+	}
+}
+
+// TestLiveSelectionPasses: a live selected-regions request executes the
+// program once when the target regions do not nest, and a second time only
+// when recursion reorders their closes — counted by the regions the feed
+// closed.
+func TestLiveSelectionPasses(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		src       string
+		line      int
+		regions   int64
+		passes    int64
+		instances []int
+	}{
+		{"triangular", triangularSrc, 7, 5, 1, []int{0, 2, 4}},
+		{"recursive", recursiveSrc, 6, 12, 2, []int{0, 6, 11}},
+	} {
+		mod, err := pipeline.Compile(tc.name+".c", tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.New()
+		ctx := obs.WithRecorder(context.Background(), rec)
+		regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod}, pipeline.Spec{Line: tc.line, Instances: tc.instances})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regs) != len(tc.instances) {
+			t.Fatalf("%s: %d reports, want %d", tc.name, len(regs), len(tc.instances))
+		}
+		if got, want := rec.Get(obs.RegionsScanned), tc.passes*tc.regions; got != want {
+			t.Errorf("%s: the feed closed %d regions, want %d (%d pass(es) over %d regions)", tc.name, got, want, tc.passes, tc.regions)
+		}
+		if got := rec.Get(obs.RegionsCompleted); got != int64(len(tc.instances)) {
+			t.Errorf("%s: %d regions completed, want %d", tc.name, got, len(tc.instances))
 		}
 	}
 }

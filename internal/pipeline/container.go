@@ -21,7 +21,7 @@ import (
 )
 
 // analyzeIndexed analyzes the loop's regions by seeking through a VTR2
-// container's footer index. A single instance decodes only its covering
+// container's footer index. Selected instances decode only their covering
 // blocks. Every region fans out across spec.ScanWorkers workers (0 means
 // spec.Core.WorkerCount()), each decoding its regions' blocks and running
 // the standard per-region analysis in place, so decoded events feed the
@@ -33,16 +33,24 @@ import (
 func analyzeIndexed(ctx context.Context, c *trace.Container, mod *ir.Module, loopID int, spec Spec) ([]RegionReport, error) {
 	rec := obs.FromContext(ctx)
 	regions := c.RegionsOf(loopID)
-	if spec.Instance >= 0 {
-		if spec.Instance >= len(regions) {
-			return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", spec.Line, len(regions), spec.Instance)
+	if !spec.everyRegion() {
+		for _, idx := range spec.Instances {
+			if idx >= len(regions) {
+				return nil, missingRegion(spec, len(regions), idx)
+			}
 		}
-		sub, err := c.Cursor().RegionTrace(mod, regions[spec.Instance])
-		if err != nil {
-			return nil, err
+		byIndex := make(map[int]RegionReport, len(spec.Instances))
+		for _, idx := range spec.Instances {
+			if _, done := byIndex[idx]; done {
+				continue
+			}
+			sub, err := c.Cursor().RegionTrace(mod, regions[idx])
+			if err != nil {
+				return nil, err
+			}
+			byIndex[idx] = analyzeOne(ctx, sub, idx, spec)
 		}
-		rr := analyzeOne(ctx, sub, spec.Instance, spec)
-		return []RegionReport{rr}, rr.Err
+		return inSpecOrder(spec, byIndex)
 	}
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("pipeline: loop on line %d never executed", spec.Line)

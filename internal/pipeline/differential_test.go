@@ -106,7 +106,7 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 					c := openContainer(t, containers[bs])
 					for _, workers := range diffWorkerCounts() {
 						got, err := pipeline.Analyze(context.Background(), indexedSource(mod, c),
-							pipeline.Spec{Line: line, Instance: -1, Core: copts, ScanWorkers: workers})
+							pipeline.Spec{Line: line, Instances: []int{-1}, Core: copts, ScanWorkers: workers})
 						if err != nil {
 							t.Fatalf("line %d block %d workers %d: %v", line, bs, workers, err)
 						}
@@ -165,7 +165,7 @@ func TestDifferentialCounterParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := pipeline.Analyze(idxCtx, indexedSource(mod, c), pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
+	idx, err := pipeline.Analyze(idxCtx, indexedSource(mod, c), pipeline.Spec{Line: faultInnerLine, Instances: []int{-1}, ScanWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 	if total < 8 {
 		t.Fatalf("want a many-block container, got %d blocks", total)
 	}
-	spec := pipeline.Spec{Line: faultInnerLine, Instance: 1}
+	spec := pipeline.Spec{Line: faultInnerLine, Instances: []int{1}}
 	sub, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -282,12 +282,12 @@ func TestDifferentialCLIErrorTexts(t *testing.T) {
 	}{
 		{"no-loop-line", func(o *trace.Opened) error {
 			_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o},
-				pipeline.Spec{Line: 2, Instance: -1, ScanWorkers: 2})
+				pipeline.Spec{Line: 2, Instances: []int{-1}, ScanWorkers: 2})
 			return err
 		}},
 		{"bad-instance", func(o *trace.Opened) error {
 			_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o},
-				pipeline.Spec{Line: faultInnerLine, Instance: 99})
+				pipeline.Spec{Line: faultInnerLine, Instances: []int{99}})
 			return err
 		}},
 	} {
@@ -323,7 +323,7 @@ func TestVTR2TruncationSweep(t *testing.T) {
 	}
 	opened := func(o *trace.Opened) ([]pipeline.RegionReport, error) {
 		return pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o},
-			pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
+			pipeline.Spec{Line: faultInnerLine, Instances: []int{-1}, ScanWorkers: 2})
 	}
 	intact, err := opened(o)
 	if err != nil {
@@ -391,7 +391,7 @@ func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
 	data := buf.Bytes()
 	indexed := func(c *trace.Container) ([]pipeline.RegionReport, error) {
 		return pipeline.Analyze(context.Background(), indexedSource(mod, c),
-			pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
+			pipeline.Spec{Line: faultInnerLine, Instances: []int{-1}, ScanWorkers: 2})
 	}
 	intact, err := indexed(openContainer(t, data))
 	if err != nil {
@@ -470,7 +470,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 		t.Fatalf("footer read hit the mid-file fault: %v", err)
 	}
 	_, aerr := pipeline.Analyze(context.Background(), indexedSource(mod, c),
-		pipeline.Spec{Line: faultInnerLine, Instance: -1, ScanWorkers: 2})
+		pipeline.Spec{Line: faultInnerLine, Instances: []int{-1}, ScanWorkers: 2})
 	if !errors.Is(aerr, sentinel) {
 		t.Fatalf("indexed analysis error %v does not wrap the injected fault", aerr)
 	}

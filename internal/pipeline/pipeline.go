@@ -9,7 +9,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/example/vectrace/internal/core"
@@ -78,10 +77,24 @@ func Run(ctx context.Context, mod *ir.Module, countLoops bool, budget core.Budge
 	return m.RunContext(ctx, "main")
 }
 
-// sinkPool recycles TraceSinks (and so their event backing arrays) across
-// traces: Reset retains capacity, so steady-state tracing of same-sized
-// programs allocates no event storage at all.
-var sinkPool = sync.Pool{New: func() any { return new(interp.TraceSink) }}
+// eventTracer captures a whole trace: it appends each event straight into
+// the slice the returned trace.Trace owns, so the capture holds every event
+// once (an interp.TraceSink would need a second, converted copy).
+type eventTracer struct {
+	events []trace.Event
+}
+
+// Exec implements interp.Tracer.
+func (s *eventTracer) Exec(id int32, addr int64) {
+	s.events = append(s.events, trace.Event{ID: id, Addr: addr})
+}
+
+// ExecBatch implements interp.BatchTracer.
+func (s *eventTracer) ExecBatch(events []interp.Event) {
+	for _, ev := range events {
+		s.events = append(s.events, trace.Event{ID: ev.ID, Addr: ev.Addr})
+	}
+}
 
 // Trace executes the module's main function under full instrumentation,
 // with the budget's interpreter limits applied, and returns both the
@@ -90,20 +103,13 @@ var sinkPool = sync.Pool{New: func() any { return new(interp.TraceSink) }}
 func Trace(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.Result, *trace.Trace, error) {
 	ctx, sp := obs.StartSpan(ctx, "interp")
 	defer sp.End()
-	sink := sinkPool.Get().(*interp.TraceSink)
-	sink.Reset()
-	defer sinkPool.Put(sink)
+	sink := &eventTracer{}
 	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := &trace.Trace{Module: mod}
-	tr.Events = make([]trace.Event, len(sink.Events))
-	for i, ev := range sink.Events {
-		tr.Events[i] = trace.Event{ID: ev.ID, Addr: ev.Addr}
-	}
-	return res, tr, nil
+	return res, &trace.Trace{Module: mod, Events: sink.events}, nil
 }
 
 // CompileAndTrace is Compile followed by Trace with no budget.

@@ -41,7 +41,7 @@ void main() {
 		t.Fatal(err)
 	}
 	region := func(line, idx int) error {
-		_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{Line: line, Instance: idx})
+		_, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{Line: line, Instances: []int{idx}})
 		return err
 	}
 	if err := region(999, 0); err == nil || err.Error() != "pipeline: no loop on line 999" {

@@ -232,7 +232,7 @@ void main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		regs, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{Line: 6})
+		regs, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{Line: 6, Instances: []int{0}})
 		if err != nil {
 			t.Fatal(err)
 		}

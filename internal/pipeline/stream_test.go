@@ -97,7 +97,7 @@ func TestLoopRegionStreamMatches(t *testing.T) {
 	encoded := encodeTrace(t, tr)
 	for _, lm := range mod.Loops {
 		for idx := 0; idx < 4; idx++ {
-			spec := pipeline.Spec{Line: lm.Line, Instance: idx}
+			spec := pipeline.Spec{Line: lm.Line, Instances: []int{idx}}
 			want, wantErr := pipeline.Analyze(context.Background(), sliceSource(tr), spec)
 			dec := trace.NewDecoder(bytes.NewReader(encoded))
 			got, gotErr := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Events: dec}, spec)

@@ -78,11 +78,11 @@ func TestGoldenTraceFormatParity(t *testing.T) {
 			if len(tr1.Regions(lm.ID)) == 0 {
 				continue
 			}
-			rep1, err := RepresentativeReport(tr1, lm.ID, 3, core.Options{})
+			rep1, err := representativeReport(tr1, lm.ID, core.Options{})
 			if err != nil {
 				t.Fatalf("%s L%d vtr1: %v", k.Name, lm.ID, err)
 			}
-			rep2, err := RepresentativeReport(tr2, lm.ID, 3, core.Options{})
+			rep2, err := representativeReport(tr2, lm.ID, core.Options{})
 			if err != nil {
 				t.Fatalf("%s L%d vtr2: %v", k.Name, lm.ID, err)
 			}
@@ -126,7 +126,7 @@ func TestGoldenInstanceSeek(t *testing.T) {
 	if o.Container == nil {
 		t.Fatalf("vtr2 file opened without an index: %v", o.IndexErr)
 	}
-	spec := pipeline.Spec{Line: line, Instance: instance}
+	spec := pipeline.Spec{Line: line, Instances: []int{instance}}
 	seek, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod, Trace: o}, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/report"
 )
 
@@ -73,39 +71,5 @@ func TestRenderFigure(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure rendering missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRepresentativeReport(t *testing.T) {
-	src := `
-double g;
-void main() {
-  int t;
-  int i;
-  for (t = 0; t < 5; t++) {
-    for (i = 0; i < 8; i++) {
-      g = g + 1.0;
-    }
-  }
-  for (i = 0; i < 0; i++) { g = g * 2.0; }  /* never iterates */
-}
-`
-	_, _, tr, err := pipeline.CompileAndTrace("rep.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inner loop runs five times; the representative is the median of
-	// three sampled regions — all identical here, so any is fine.
-	rep, err := report.RepresentativeReport(tr, 1, 3, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalCandidateOps != 8 {
-		t.Errorf("representative region has %d candidate ops, want 8 (one inner execution)", rep.TotalCandidateOps)
-	}
-
-	// A loop absent from the trace has no representative.
-	if _, err := report.RepresentativeReport(tr, 99, 3, core.Options{}); err == nil {
-		t.Error("missing loop should error")
 	}
 }

@@ -6,9 +6,8 @@ package report
 import (
 	"context"
 	"fmt"
-	"strings"
-
 	"sort"
+	"strings"
 
 	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
@@ -20,7 +19,6 @@ import (
 	"github.com/example/vectrace/internal/profile"
 	"github.com/example/vectrace/internal/simd"
 	"github.com/example/vectrace/internal/staticvec"
-	"github.com/example/vectrace/internal/trace"
 )
 
 // LoopAnalysis bundles everything the tables need about one analyzed loop.
@@ -35,61 +33,34 @@ type LoopAnalysis struct {
 	Report         *core.Report
 }
 
-// RepresentativeReport analyzes up to maxRegions dynamic executions of a
-// loop and returns the median one (by candidate-operation count), the way
-// the paper "randomly chose several instances of the loop, analyzed each
-// corresponding subtrace ... and chose one representative subtrace to be
-// included in the measurements". Sampling is deterministic: the first,
-// middle, and last regions, covering warm-up and steady-state executions.
-func RepresentativeReport(tr *trace.Trace, loopID int, maxRegions int, opts core.Options) (*core.Report, error) {
-	return RepresentativeReportCtx(context.Background(), tr, loopID, maxRegions, opts)
-}
-
-// RepresentativeReportCtx is RepresentativeReport with cooperative
-// cancellation: ctx is threaded through the region fan-out and each
-// region's analysis, so a deadline cuts the sampling short with an error
-// wrapping core.ErrCanceled.
-func RepresentativeReportCtx(ctx context.Context, tr *trace.Trace, loopID int, maxRegions int, opts core.Options) (*core.Report, error) {
-	regions := tr.Regions(loopID)
-	if len(regions) == 0 {
-		return nil, fmt.Errorf("report: loop L%d never executed", loopID)
-	}
+// samplePicks returns the close indices of the regions a table row samples
+// out of a loop's n dynamic executions, the way the paper "randomly chose
+// several instances of the loop, analyzed each corresponding subtrace ...
+// and chose one representative subtrace to be included in the
+// measurements". Sampling is deterministic: the first, middle, and last
+// regions, covering warm-up and steady-state executions.
+func samplePicks(n int) []int {
 	picks := []int{0}
-	if len(regions) > 2 {
-		picks = append(picks, len(regions)/2)
+	if n > 2 {
+		picks = append(picks, n/2)
 	}
-	if len(regions) > 1 {
-		picks = append(picks, len(regions)-1)
+	if n > 1 {
+		picks = append(picks, n-1)
 	}
-	if len(picks) > maxRegions {
-		picks = picks[:maxRegions]
-	}
-	// The sampled regions are independent; analyze them across
-	// opts.WorkerCount() workers (each through the default one-pass route;
-	// see pipeline.AnalyzeRegion), merging by pick index for determinism.
-	reps := make([]*core.Report, len(picks))
-	err := core.ParallelFor(ctx, len(picks), opts.WorkerCount(), func(i int) error {
-		var err error
-		reps[i], err = pipeline.AnalyzeRegion(ctx, tr.Slice(regions[picks[i]]), ddg.Options{}, opts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(reps, func(i, j int) bool {
-		return reps[i].TotalCandidateOps < reps[j].TotalCandidateOps
-	})
-	return reps[len(reps)/2], nil
+	return picks
 }
 
-// analyzeKernelLoop compiles, traces, profiles, and analyzes one marked loop
-// of a kernel.
+// analyzeKernelLoop compiles, profiles, and analyzes one marked loop of a
+// kernel without capturing its trace. A plain profiling run yields both
+// the cycle profile and the loop's region count; one live traced run then
+// feeds only the sampled regions to their stream kernels, and the row
+// reports the median sample by candidate-operation count.
 func analyzeKernelLoop(ctx context.Context, k kernels.Kernel, marker string, opts core.Options) (*LoopAnalysis, error) {
 	mod, err := pipeline.Compile(k.Name+".c", k.Source)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
-	res, tr, err := pipeline.Trace(ctx, mod, core.Budget{})
+	res, err := pipeline.Run(ctx, mod, true, core.Budget{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
@@ -104,10 +75,23 @@ func analyzeKernelLoop(ctx context.Context, k kernels.Kernel, marker string, opt
 	if lm == nil {
 		return nil, fmt.Errorf("%s: no loop on line %d (marker %s)", k.Name, line, marker)
 	}
-	rep, err := RepresentativeReportCtx(ctx, tr, lm.ID, 3, opts)
+	n := res.LoopEntries[lm.ID]
+	if n == 0 {
+		return nil, fmt.Errorf("%s: loop L%d never executed", k.Name, lm.ID)
+	}
+	regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod},
+		pipeline.Spec{Line: line, Instances: samplePicks(int(n)), Core: opts})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
+	reps := make([]*core.Report, len(regs))
+	for i := range regs {
+		reps[i] = regs[i].Report
+	}
+	sort.SliceStable(reps, func(i, j int) bool {
+		return reps[i].TotalCandidateOps < reps[j].TotalCandidateOps
+	})
+	rep := reps[len(reps)/2]
 
 	la := &LoopAnalysis{
 		AvgConcurrency: rep.AvgConcurrency,
@@ -528,5 +512,3 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 	}
 	return rows, nil
 }
-
-var _ = trace.Event{}

@@ -365,7 +365,7 @@ func (j *Job) run(ctx context.Context, ceil core.Budget) ([]byte, error) {
 			}
 		}
 		regs, err := pipeline.Analyze(ctx, src, pipeline.Spec{
-			Line: j.Spec.Line, Instance: j.Spec.Instance, DDG: dopts, Core: copts, ScanWorkers: j.Spec.ScanWorkers,
+			Line: j.Spec.Line, Instances: []int{j.Spec.Instance}, DDG: dopts, Core: copts, ScanWorkers: j.Spec.ScanWorkers,
 		})
 		if len(regs) == 0 {
 			return nil, err

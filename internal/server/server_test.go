@@ -57,7 +57,7 @@ func expectedRegionsJSON(t *testing.T, spec JobSpec) []byte {
 		t.Fatal(err)
 	}
 	regs, err := pipeline.Analyze(context.Background(), pipeline.Source{Module: mod}, pipeline.Spec{
-		Line: spec.Line, Instance: spec.Instance, DDG: ddg.Options{CharacterizeInts: spec.IntOps},
+		Line: spec.Line, Instances: []int{spec.Instance}, DDG: ddg.Options{CharacterizeInts: spec.IntOps},
 		Core: core.Options{RelaxReductions: spec.RelaxReductions},
 	})
 	if err != nil {
@@ -280,7 +280,7 @@ func TestTraceUploadDifferential(t *testing.T) {
 		if (o.Container != nil) != (name == "vtr2") {
 			t.Fatalf("%s: footer index parsed = %v", name, o.Container != nil)
 		}
-		regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod, Trace: o}, pipeline.Spec{Line: sampleLine, Instance: -1})
+		regs, err := pipeline.Analyze(ctx, pipeline.Source{Module: mod, Trace: o}, pipeline.Spec{Line: sampleLine, Instances: []int{-1}})
 		if err != nil {
 			t.Fatalf("%s: direct: %v", name, err)
 		}
