@@ -695,7 +695,10 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			buf = k.newRow()
 		}
 		row := rowMaxInto(buf, w, k.preds)
-		*dst = streamVal{row: row, seq: k.n, instr: id, cand: -1, storedInstr: storedInstr, loadAddr: addr, isLoad: true}
+		// Field-wise stores: a whole-struct store of a pointer-bearing
+		// value pays a bulk write barrier.
+		dst.row, dst.seq, dst.instr, dst.cand = row, k.n, id, -1
+		dst.inst, dst.storedInstr, dst.loadAddr, dst.isLoad = 0, storedInstr, addr, true
 		if k.dopts.IncludeAntiOutput {
 			if cell == nil {
 				cell = k.newCell(addr)
@@ -927,7 +930,8 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 		if in.dst != ir.RegNone {
 			dst := &f.regs[in.dst]
-			*dst = streamVal{row: row, seq: k.n, instr: id, cand: col, inst: kidx, storedInstr: -1}
+			dst.row, dst.seq, dst.instr, dst.cand = row, k.n, id, col
+			dst.inst, dst.storedInstr, dst.loadAddr, dst.isLoad = kidx, -1, 0, false
 		}
 		if transient {
 			k.freeRow(row)

@@ -94,8 +94,9 @@ const (
 	// streaming path, whole regions while a buffered region is analyzed.
 	// On the streaming path it is the bounded-memory guarantee, observed.
 	ScanPeakRetainedEvents
-	// ResidentRegions / PeakResidentRegions gauge materialized regions in
-	// flight in the streaming path (current value and high-water mark).
+	// ResidentRegions / PeakResidentRegions gauge the regions being
+	// analyzed at once on the every-region paths (current value and
+	// high-water mark).
 	ResidentRegions
 	PeakResidentRegions
 	// InterpSteps / InterpStackBytes are max gauges reported at the

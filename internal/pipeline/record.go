@@ -19,34 +19,37 @@ var _ = [1]struct{}{}[interp.NoAddr-trace.NoAddr]
 // eventWriter is the write side shared by trace.Encoder (VTR1) and
 // trace.ContainerWriter (VTR2).
 type eventWriter interface {
-	Write(ev trace.Event) error
+	WriteEvents(events []trace.Event) error
 	Close() error
 }
 
 // writerSink streams events straight into an eventWriter as the
 // interpreter executes, so recording never materializes the trace.
 type writerSink struct {
-	w   eventWriter
-	err error
+	w     eventWriter
+	chunk []trace.Event // one converted batch, reused
+	err   error
 }
 
 // Exec implements interp.Tracer.
 func (s *writerSink) Exec(id int32, addr int64) {
 	if s.err == nil {
-		s.err = s.w.Write(trace.Event{ID: id, Addr: addr})
+		s.err = s.w.WriteEvents([]trace.Event{{ID: id, Addr: addr}})
 	}
 }
 
 // ExecBatch implements interp.BatchTracer: the plan dispatcher hands events
-// over in recycled ~1K chunks, costing one dynamic dispatch per chunk
-// instead of one per event.
+// over in recycled ~1K chunks, and each chunk reaches the writer in one
+// call.
 func (s *writerSink) ExecBatch(events []interp.Event) {
-	for _, ev := range events {
-		if s.err != nil {
-			return
-		}
-		s.err = s.w.Write(trace.Event{ID: ev.ID, Addr: ev.Addr})
+	if s.err != nil {
+		return
 	}
+	s.chunk = s.chunk[:0]
+	for _, ev := range events {
+		s.chunk = append(s.chunk, trace.Event{ID: ev.ID, Addr: ev.Addr})
+	}
+	s.err = s.w.WriteEvents(s.chunk)
 }
 
 // Record executes the module's main function under full instrumentation,
@@ -57,7 +60,9 @@ func (s *writerSink) ExecBatch(events []interp.Event) {
 // VTR2, one block plus the growing index), independent of the trace
 // length — the recording half of the paper's record-then-analyze workflow.
 // A write failure on w aborts the run rather than silently dropping tail
-// events.
+// events. The run skips per-loop cycle attribution, so the returned
+// Result carries the totals (Steps, Cycles, FPOps) and Output, and its
+// Loop* maps are nil.
 func Record(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Budget, format string, opts trace.ContainerOptions) (*interp.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "record")
 	defer sp.End()
@@ -75,7 +80,7 @@ func Record(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Budget
 		return nil, fmt.Errorf("pipeline: unknown trace format %q (want %s or %s)", format, trace.FormatVTR1, trace.FormatVTR2)
 	}
 	sink := &writerSink{w: ew}
-	m := interp.New(mod, interpConfig(budget, sink, true))
+	m := interp.New(mod, interpConfig(budget, sink, false))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, err

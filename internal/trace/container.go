@@ -133,16 +133,13 @@ func (r IndexRegion) Events() int { return r.End - r.Start }
 // returns, which is what makes the index agree with Trace.Regions for every
 // loop.
 type allTracker struct {
-	stack  []openRegion
-	depth  int
-	closed []IndexRegion // scratch, reused across steps
+	stack []openRegion
+	depth int
 }
 
 // step feeds the event at absolute index i, an instance of instruction id
-// of m, and returns the regions it closes, in close order. The returned
-// slice is reused by the next call.
-func (t *allTracker) step(i int, m *ir.Module, id int32) []IndexRegion {
-	t.closed = t.closed[:0]
+// of m, and appends the regions it closes to dst, in close order.
+func (t *allTracker) step(dst []IndexRegion, i int, m *ir.Module, id int32) []IndexRegion {
 	switch m.OpOf(id) {
 	case ir.OpLoopBegin:
 		t.stack = append(t.stack, openRegion{loopID: int(m.LoopOf(id)), start: i + 1, depth: t.depth})
@@ -150,33 +147,29 @@ func (t *allTracker) step(i int, m *ir.Module, id int32) []IndexRegion {
 		if len(t.stack) > 0 {
 			o := t.stack[len(t.stack)-1]
 			t.stack = t.stack[:len(t.stack)-1]
-			t.closed = append(t.closed, IndexRegion{LoopID: o.loopID, Start: o.start, End: i, Depth: o.depth})
+			dst = append(dst, IndexRegion{LoopID: o.loopID, Start: o.start, End: i, Depth: o.depth})
 		}
 	case ir.OpCall:
 		t.depth++
 	case ir.OpRet:
-		t.closeTo(t.depth, i)
+		dst = t.closeTo(dst, t.depth, i)
 		if t.depth > 0 {
 			t.depth--
 		}
 	}
-	return t.closed
+	return dst
 }
 
-// finish closes every still-open region at end-of-trace index n.
-func (t *allTracker) finish(n int) []IndexRegion {
-	t.closed = t.closed[:0]
-	t.closeTo(0, n)
-	return t.closed
-}
-
-// closeTo pops stack entries at or above minDepth, recording their regions.
-func (t *allTracker) closeTo(minDepth, endIdx int) {
+// closeTo pops stack entries at or above minDepth, appending their regions
+// to dst. closeTo(dst, 0, n) closes every still-open region at
+// end-of-trace index n.
+func (t *allTracker) closeTo(dst []IndexRegion, minDepth, endIdx int) []IndexRegion {
 	for len(t.stack) > 0 && t.stack[len(t.stack)-1].depth >= minDepth {
 		o := t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
-		t.closed = append(t.closed, IndexRegion{LoopID: o.loopID, Start: o.start, End: endIdx, Depth: o.depth})
+		dst = append(dst, IndexRegion{LoopID: o.loopID, Start: o.start, End: endIdx, Depth: o.depth})
 	}
+	return dst
 }
 
 // blockMeta is one block's index entry, shared between the writer's footer
@@ -278,29 +271,45 @@ func (cw *ContainerWriter) fail(err error) error {
 
 // Write appends one event to the container, tracking region boundaries.
 func (cw *ContainerWriter) Write(ev Event) error {
+	return cw.WriteEvents([]Event{ev})
+}
+
+// WriteEvents appends events to the container in order, exactly as Write
+// on each would, paying the writer's state checks once per call. An event
+// whose ID is not in the module fails the call at that event, after the
+// events before it are written.
+func (cw *ContainerWriter) WriteEvents(events []Event) error {
 	if cw.err != nil {
 		return cw.err
 	}
 	if cw.closed {
 		return cw.fail(fmt.Errorf("trace: write on closed ContainerWriter"))
 	}
-	if ev.ID < 0 || int(ev.ID) >= cw.mod.NumInstrs {
-		return cw.fail(fmt.Errorf("trace: event ID %d not in module (%d instructions)", ev.ID, cw.mod.NumInstrs))
-	}
-	if err := cw.header(); err != nil {
-		return cw.fail(err)
-	}
-	cw.regions = append(cw.regions, cw.tk.step(cw.idx, cw.mod, ev.ID)...)
-	var err error
-	cw.raw, cw.prevAddr, err = appendEvent(cw.raw, ev, cw.prevAddr)
-	if err != nil {
-		return cw.fail(err)
-	}
-	cw.blockEvents++
-	cw.idx++
-	if len(cw.raw) >= cw.blockBytes {
-		if err := cw.flushBlock(); err != nil {
-			return cw.fail(err)
+	numInstrs := cw.mod.NumInstrs
+	for _, ev := range events {
+		if ev.ID < 0 || int(ev.ID) >= numInstrs {
+			return cw.fail(fmt.Errorf("trace: event ID %d not in module (%d instructions)", ev.ID, numInstrs))
+		}
+		if !cw.wroteHeader {
+			if err := cw.header(); err != nil {
+				return cw.fail(err)
+			}
+		}
+		cw.regions = cw.tk.step(cw.regions, cw.idx, cw.mod, ev.ID)
+		head := uint64(ev.ID+1) << 1
+		if ev.Addr == NoAddr {
+			cw.raw = binary.AppendUvarint(cw.raw, head)
+		} else {
+			cw.raw = binary.AppendUvarint(cw.raw, head|1)
+			cw.raw = binary.AppendVarint(cw.raw, ev.Addr-cw.prevAddr)
+			cw.prevAddr = ev.Addr
+		}
+		cw.blockEvents++
+		cw.idx++
+		if len(cw.raw) >= cw.blockBytes {
+			if err := cw.flushBlock(); err != nil {
+				return cw.fail(err)
+			}
 		}
 	}
 	return nil
@@ -388,7 +397,7 @@ func (cw *ContainerWriter) Close() error {
 	if err := cw.flushBlock(); err != nil {
 		return cw.fail(err)
 	}
-	cw.regions = append(cw.regions, cw.tk.finish(cw.idx)...)
+	cw.regions = cw.tk.closeTo(cw.regions, 0, cw.idx)
 	if err := cw.bw.WriteByte(0); err != nil { // end-of-blocks sentinel
 		return cw.fail(err)
 	}
@@ -448,10 +457,8 @@ func EncodeContainer(w io.Writer, mod *ir.Module, events []Event, opts Container
 	if err != nil {
 		return err
 	}
-	for _, ev := range events {
-		if err := cw.Write(ev); err != nil {
-			return err
-		}
+	if err := cw.WriteEvents(events); err != nil {
+		return err
 	}
 	return cw.Close()
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
@@ -150,58 +149,6 @@ func readAllLimit(r io.Reader, scratch *[]byte, limit int) ([]byte, error) {
 	}
 	*scratch = buf
 	return buf, nil
-}
-
-// decodeBlock turns a block's stored payload into events appended to dst:
-// checksum, optional inflate (into *inflate, reused across blocks), then
-// the canonical event decode with the per-block address chain starting at
-// 0. Exactly b.events events must consume exactly b.raw bytes — anything
-// else is corruption. Returned errors wrap ErrCorruptTrace but carry no
-// position; callers wrap them in an OffsetError naming the block.
-func decodeBlock(stored []byte, b blockMeta, dst []Event, inflate *[]byte) ([]Event, error) {
-	if crc32.ChecksumIEEE(stored) != b.crc {
-		return dst, fmt.Errorf("block checksum mismatch: %w", ErrCorruptTrace)
-	}
-	raw := stored
-	if b.compressed {
-		fr := flate.NewReader(bytes.NewReader(stored))
-		// Inflate into a doubling buffer bounded by the declared size plus
-		// one: the header's raw field is outside the payload checksum, so a
-		// lying value must not provoke a huge up-front allocation — growth
-		// tracks what the stream actually inflates to.
-		buf, err := readAllLimit(fr, inflate, b.raw+1)
-		switch {
-		case err == nil:
-			return dst, fmt.Errorf("block inflates past its declared %d raw bytes: %w", b.raw, ErrCorruptTrace)
-		case err == io.ErrUnexpectedEOF || err == io.EOF:
-			if len(buf) != b.raw {
-				return dst, fmt.Errorf("block declares %d raw bytes but inflates to %d: %w", b.raw, len(buf), ErrCorruptTrace)
-			}
-		default:
-			return dst, fmt.Errorf("inflating block: %v: %w", err, ErrCorruptTrace)
-		}
-		raw = buf
-	}
-	cur := byteCursor{br: bytes.NewReader(raw)}
-	var prevAddr int64
-	for i := 0; i < b.events; i++ {
-		head, err := cur.readUvarint()
-		if err != nil {
-			return dst, asCorrupt(err)
-		}
-		if head == 0 {
-			return dst, fmt.Errorf("unexpected end-of-stream sentinel inside block: %w", ErrCorruptTrace)
-		}
-		ev, _, err := decodeEventTail(&cur, head, &prevAddr)
-		if err != nil {
-			return dst, asCorrupt(err)
-		}
-		dst = append(dst, ev)
-	}
-	if cur.off != int64(len(raw)) {
-		return dst, fmt.Errorf("%d trailing bytes after block's %d events: %w", int64(len(raw))-cur.off, b.events, ErrCorruptTrace)
-	}
-	return dst, nil
 }
 
 // blockInfo is a footer block entry plus its computed file geometry.
@@ -402,7 +349,7 @@ type Cursor struct {
 	blockIdx int // block currently decoded in events, -1 when empty
 	events   []Event
 	frame    []byte // frame header + stored payload scratch
-	inflate  []byte // decompression scratch
+	dec      blockDecoder
 }
 
 // Cursor returns a new, empty cursor over the container.
@@ -439,7 +386,7 @@ func (cu *Cursor) load(i int) error {
 	if b.compressed {
 		c.rec.Add(obs.TraceBlocksDecompressed, 1)
 	}
-	events, err := decodeBlock(frame[hdrLen:], b.blockMeta, cu.events[:0], &cu.inflate)
+	events, err := cu.dec.decode(frame[hdrLen:], b.blockMeta, cu.events[:0])
 	if err != nil {
 		cu.blockIdx = -1
 		cu.events = events[:0]
@@ -473,23 +420,62 @@ func (cu *Cursor) EventRange(dst []Event, start, end int) ([]Event, error) {
 	return dst, nil
 }
 
-// RegionTrace materializes one indexed region as a sub-trace over mod —
-// the index-seek primitive behind `analyze -instance K` and the parallel
-// scanner. Only the blocks covering [r.Start, r.End) are decoded, which is
-// what the blocks-read counter observes. Event IDs are validated against
-// the module, mirroring the sequential region feed's check.
+// WalkRegion hands region r's events to visit as slices of the cursor's
+// block cache, one per covering block, decoding only those blocks. Every
+// event of a slice has passed the ID check against mod before visit sees
+// it; the slice is valid only until visit returns. After visit fails, the
+// walk visits nothing more but still decodes and checks the region's
+// remaining blocks, so damage anywhere in the region is always reported:
+// err is the first decode error, else the first ID error, else nil, and
+// visitErr is visit's own error. A sound region counts one index hit.
+func (cu *Cursor) WalkRegion(mod *ir.Module, r IndexRegion, visit func([]Event) error) (visitErr, err error) {
+	c := cu.c
+	if r.Start < 0 || r.End < r.Start || r.End > c.numEvents {
+		return nil, fmt.Errorf("trace: event range [%d, %d) outside container's %d events", r.Start, r.End, c.numEvents)
+	}
+	var idErr error
+	for bi, start := c.blockFor(r.Start), r.Start; start < r.End; bi++ {
+		if err := cu.load(bi); err != nil {
+			return visitErr, err
+		}
+		b := c.blocks[bi]
+		lo, hi := start-b.first, min(r.End-b.first, b.events)
+		start = b.first + hi
+		if idErr != nil {
+			continue
+		}
+		events := cu.events[lo:hi]
+		for i, ev := range events {
+			if int(ev.ID) >= mod.NumInstrs {
+				idErr = fmt.Errorf("trace: event %d: instruction ID %d not in module (%d instructions): %w",
+					b.first+lo+i, ev.ID, mod.NumInstrs, ErrCorruptTrace)
+				break
+			}
+		}
+		if idErr == nil && visitErr == nil {
+			visitErr = visit(events)
+		}
+	}
+	if idErr != nil {
+		return visitErr, idErr
+	}
+	c.rec.Add(obs.RegionIndexHits, 1)
+	return visitErr, nil
+}
+
+// RegionTrace materializes one indexed region as a sub-trace over mod:
+// WalkRegion collecting its slices. The analysis drivers walk regions
+// instead; this is the materialized form tests and benchmarks compare
+// them against.
 func (cu *Cursor) RegionTrace(mod *ir.Module, r IndexRegion) (*Trace, error) {
-	events, err := cu.EventRange(nil, r.Start, r.End)
+	var events []Event
+	_, err := cu.WalkRegion(mod, r, func(evs []Event) error {
+		events = append(events, evs...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, ev := range events {
-		if int(ev.ID) >= mod.NumInstrs {
-			return nil, fmt.Errorf("trace: event %d: instruction ID %d not in module (%d instructions): %w",
-				r.Start+i, ev.ID, mod.NumInstrs, ErrCorruptTrace)
-		}
-	}
-	cu.c.rec.Add(obs.RegionIndexHits, 1)
 	return &Trace{Module: mod, Events: events}, nil
 }
 
@@ -512,7 +498,7 @@ type BlockSource struct {
 	events  []Event
 	pos     int
 	payload []byte
-	inflate []byte
+	dec     blockDecoder
 	err     error
 }
 
@@ -585,7 +571,7 @@ func (s *BlockSource) fill() error {
 	if meta.compressed {
 		s.rec.Add(obs.TraceBlocksDecompressed, 1)
 	}
-	decoded, err := decodeBlock(payload, meta, s.events[:0], &s.inflate)
+	decoded, err := s.dec.decode(payload, meta, s.events[:0])
 	if err != nil {
 		s.events = decoded[:0]
 		return s.fail(fmt.Sprintf("decoding vtr2 block %d", s.block), err)
@@ -616,20 +602,25 @@ func (s *BlockSource) Next() (Event, error) {
 	return ev, nil
 }
 
-// ScanIndexedRegions decodes the indexed regions of loop loopID across
-// workers goroutines, calling handle(k, r, sub, err) once per region — k is
+// A RegionWalk walks one indexed region's events through the scanning
+// worker's cursor; its contract is Cursor.WalkRegion's. A walk that finds
+// the region sound also counts it, and its events, as scanned.
+type RegionWalk func(visit func([]Event) error) (visitErr, err error)
+
+// ScanIndexedRegions walks the indexed regions of loop loopID across
+// workers goroutines, calling handle(k, r, walk) once per region — k is
 // the region's close-order index within the loop (the same numbering the
-// sequential region feed reports), sub the materialized sub-trace (nil when
-// decoding its blocks failed). handle runs concurrently on worker
-// goroutines; callers writing to index-addressed slots need no further
-// synchronization. Workers claim contiguous chunks of regions rather than
-// single regions: many small regions usually share a block, and chunking
-// keeps a block's regions on the cursor that already decoded it instead of
-// making every worker inflate every block. Each worker owns a Cursor, and
-// each worker's wall time lands in the "scan-worker" span aggregate.
-// Returns ctx.Err() when canceled, nil otherwise — per-region failures are
+// sequential region feed reports), walk the way to its events, valid only
+// during the call. handle runs concurrently on worker goroutines; callers
+// writing to index-addressed slots need no further synchronization.
+// Workers claim contiguous chunks of regions rather than single regions:
+// many small regions usually share a block, and chunking keeps a block's
+// regions on the cursor that already decoded it instead of making every
+// worker inflate every block. Each worker owns a Cursor, and each
+// worker's wall time lands in the "scan-worker" span aggregate. Returns
+// ctx.Err() when canceled, nil otherwise — per-region failures are
 // reported only through handle, keeping the degrade-per-region contract.
-func (c *Container) ScanIndexedRegions(ctx context.Context, mod *ir.Module, loopID, workers int, handle func(k int, r IndexRegion, sub *Trace, err error)) error {
+func (c *Container) ScanIndexedRegions(ctx context.Context, mod *ir.Module, loopID, workers int, handle func(k int, r IndexRegion, walk RegionWalk)) error {
 	regions := c.RegionsOf(loopID)
 	if len(regions) == 0 {
 		return ctx.Err()
@@ -657,21 +648,20 @@ func (c *Container) ScanIndexedRegions(ctx context.Context, mod *ir.Module, loop
 				if lo >= len(regions) || ctx.Err() != nil {
 					return
 				}
-				hi := lo + chunk
-				if hi > len(regions) {
-					hi = len(regions)
-				}
+				hi := min(lo+chunk, len(regions))
 				for k := lo; k < hi; k++ {
 					if ctx.Err() != nil {
 						return
 					}
 					r := regions[k]
-					sub, err := cu.RegionTrace(mod, r)
-					if err == nil {
-						c.rec.Add(obs.EventsScanned, int64(r.Events()))
-						c.rec.Add(obs.RegionsScanned, 1)
-					}
-					handle(k, r, sub, err)
+					handle(k, r, func(visit func([]Event) error) (error, error) {
+						verr, err := cu.WalkRegion(mod, r, visit)
+						if err == nil {
+							c.rec.Add(obs.EventsScanned, int64(r.Events()))
+							c.rec.Add(obs.RegionsScanned, 1)
+						}
+						return verr, err
+					})
 				}
 			}
 		}()

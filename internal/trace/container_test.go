@@ -329,8 +329,8 @@ func TestBlockSourceReaderError(t *testing.T) {
 	}
 }
 
-// TestScanIndexedRegionsMatchesTracker: the parallel indexed scan yields,
-// for every region of every loop, exactly the sub-trace the in-memory
+// TestScanIndexedRegionsMatchesTracker: the parallel indexed scan walks,
+// for every region of every loop, exactly the events the in-memory
 // tracker defines — at 1 worker and at 4.
 func TestScanIndexedRegionsMatchesTracker(t *testing.T) {
 	tr := traceFor(t, containerSrc)
@@ -344,12 +344,13 @@ func TestScanIndexedRegionsMatchesTracker(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			got := make([][]trace.Event, len(want))
 			err := c.ScanIndexedRegions(context.Background(), tr.Module, loopID, workers,
-				func(k int, _ trace.IndexRegion, sub *trace.Trace, err error) {
-					if err != nil {
+				func(k int, _ trace.IndexRegion, walk trace.RegionWalk) {
+					if _, err := walk(func(evs []trace.Event) error {
+						got[k] = append(got[k], evs...)
+						return nil
+					}); err != nil {
 						t.Errorf("loop %d region %d: %v", loopID, k, err)
-						return
 					}
-					got[k] = sub.Events
 				})
 			if err != nil {
 				t.Fatal(err)

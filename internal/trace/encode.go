@@ -117,6 +117,17 @@ func (e *Encoder) Write(ev Event) error {
 	return nil
 }
 
+// WriteEvents appends events to the stream in order, stopping at the
+// first failing Write.
+func (e *Encoder) WriteEvents(events []Event) error {
+	for _, ev := range events {
+		if err := e.Write(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Close terminates the stream with the end-of-stream sentinel and flushes
 // buffered bytes. It does not close the underlying writer.
 func (e *Encoder) Close() error {
@@ -145,35 +156,10 @@ func (e *Encoder) Close() error {
 // Encode writes the trace's event stream to w in the VTR1 format.
 func Encode(w io.Writer, events []Event) error {
 	e := NewEncoder(w)
-	for _, ev := range events {
-		if err := e.Write(ev); err != nil {
-			return err
-		}
+	if err := e.WriteEvents(events); err != nil {
+		return err
 	}
 	return e.Close()
-}
-
-// appendEvent appends ev's canonical encoding (uvarint head, optional
-// zigzag address delta) to dst and returns the grown slice plus the updated
-// previous-address chain value. The VTR1 Encoder and the VTR2 block writer
-// share this, so both formats carry byte-identical per-event encodings.
-func appendEvent(dst []byte, ev Event, prevAddr int64) ([]byte, int64, error) {
-	if ev.ID < 0 || int64(ev.ID) > maxID {
-		return dst, prevAddr, fmt.Errorf("trace: event ID %d out of range", ev.ID)
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	head := uint64(ev.ID+1) << 1
-	if ev.Addr != NoAddr {
-		head |= 1
-	}
-	n := binary.PutUvarint(tmp[:], head)
-	dst = append(dst, tmp[:n]...)
-	if ev.Addr != NoAddr {
-		n = binary.PutVarint(tmp[:], ev.Addr-prevAddr)
-		dst = append(dst, tmp[:n]...)
-		prevAddr = ev.Addr
-	}
-	return dst, prevAddr, nil
 }
 
 // A Decoder reads events one at a time from an io.Reader without
@@ -206,8 +192,9 @@ func (d *Decoder) Offset() int64 { return d.cur.off }
 
 // A byteCursor reads bytes from an io.ByteReader while tracking the count
 // consumed, enforcing the canonical (minimal) varint rules the format
-// requires. The VTR1 stream decoder and the VTR2 block/footer decoders all
-// read through one of these, so strictness is defined in exactly one place.
+// requires. The VTR1 stream decoder and the VTR2 frame-header and footer
+// parsers read through one of these; the VTR2 block payload decoder
+// (block.go) applies the same rules to an in-memory slice.
 type byteCursor struct {
 	br  io.ByteReader
 	off int64
@@ -265,8 +252,7 @@ func (c *byteCursor) readVarint() (int64, error) {
 // already been read, consuming the address delta when present and advancing
 // the previous-address chain. On failure the returned context string names
 // the decoding phase ("reading event header" for a bad instruction ID,
-// "reading address delta" otherwise), matching the VTR1 diagnostics. Shared
-// by the VTR1 stream decoder and the VTR2 block decoder.
+// "reading address delta" otherwise), matching the VTR1 diagnostics.
 func decodeEventTail(cur *byteCursor, head uint64, prevAddr *int64) (Event, string, error) {
 	id := head >> 1
 	if id == 0 || id > maxID+1 {
